@@ -1,167 +1,33 @@
-//! Sharded, multi-threaded deployment of the Iustitia pipeline.
+//! Flow sharding for multi-core deployments of the Iustitia pipeline.
 //!
 //! The paper targets "rigid time and space requirements in high speed
-//! routers" (§1.2). A single [`Iustitia`]
+//! routers" (§1.2). A single [`Iustitia`](crate::pipeline::Iustitia)
 //! engine is single-threaded; on a multi-core middlebox the standard
 //! scaling pattern is *flow sharding*: hash each packet's flow ID to one
-//! of `N` worker threads, each owning an independent pipeline (CDB +
-//! buffers). Because all per-flow state is partitioned by the same
-//! hash, no state is shared between workers and no locks sit on the
-//! packet path; a mutex guards only the cold verdict-statistics
-//! aggregation.
+//! of `N` workers, each owning an independent pipeline (CDB + buffers).
+//! Because all per-flow state is partitioned by the same hash, no state
+//! is shared between workers and no locks sit on the packet path. The
+//! `iustitia-serve` shard workers are that deployment.
 //!
 //! # Examples
 //!
 //! ```
-//! use iustitia::concurrent::ShardedIustitia;
-//! use iustitia::features::{FeatureMode, TrainingMethod};
-//! use iustitia::model::{train_from_corpus, ModelKind};
-//! use iustitia::pipeline::PipelineConfig;
-//! use iustitia_corpus::CorpusBuilder;
-//! use iustitia_entropy::FeatureWidths;
-//! use iustitia_netsim::{ContentMode, TraceConfig, TraceGenerator};
+//! use iustitia::cdb::FlowId;
+//! use iustitia::concurrent::shard_index;
+//! use iustitia_netsim::FiveTuple;
+//! use std::net::Ipv4Addr;
 //!
-//! let corpus = CorpusBuilder::new(1).files_per_class(15).size_range(512, 2048).build();
-//! let model = train_from_corpus(
-//!     &corpus,
-//!     &FeatureWidths::svm_selected(),
-//!     TrainingMethod::Prefix { b: 32 },
-//!     FeatureMode::Exact,
-//!     &ModelKind::paper_cart(),
-//!     1,
-//! )
-//! .expect("balanced corpus");
-//!
-//! let sharded = ShardedIustitia::new(model, PipelineConfig::headline(1), 4);
-//! let mut config = TraceConfig::small_test(2);
-//! config.content = ContentMode::SizesOnly;
-//! let report = sharded.process_stream(TraceGenerator::new(config));
-//! assert!(report.flows_classified > 0);
-//! assert_eq!(report.shards, 4);
+//! let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 0, 0, 1), 4000, Ipv4Addr::new(10, 0, 0, 2), 443);
+//! let shard = shard_index(&FlowId::of_tuple(&tuple), 4);
+//! assert!(shard < 4);
 //! ```
 
-use std::sync::{mpsc, Mutex, PoisonError};
-use std::thread;
-
 use crate::cdb::FlowId;
-use crate::model::NatureModel;
-use crate::pipeline::{ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
-use iustitia_netsim::Packet;
-
-/// Aggregated outcome of a sharded run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardedReport {
-    /// Number of worker shards used.
-    pub shards: usize,
-    /// Packets processed across all shards.
-    pub packets: u64,
-    /// CDB hits across all shards.
-    pub hits: u64,
-    /// Flows classified across all shards.
-    pub flows_classified: u64,
-    /// Per-flow classification records from every shard.
-    pub log: Vec<ClassifiedFlow>,
-    /// Final CDB sizes per shard.
-    pub cdb_sizes: Vec<usize>,
-}
-
-/// A fleet of flow-sharded Iustitia pipelines.
-#[derive(Debug)]
-pub struct ShardedIustitia {
-    model: NatureModel,
-    config: PipelineConfig,
-    shards: usize,
-}
-
-impl ShardedIustitia {
-    /// Creates a sharded deployment with `shards` worker pipelines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn new(model: NatureModel, config: PipelineConfig, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedIustitia { model, config, shards }
-    }
-
-    /// Number of worker shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard a flow lands on; see [`shard_index`].
-    pub fn shard_of(&self, id: &FlowId) -> usize {
-        shard_index(id, self.shards)
-    }
-
-    /// Runs a packet stream through the sharded fleet and aggregates
-    /// the results. Packets are dispatched by flow hash, so per-flow
-    /// ordering is preserved within each shard.
-    pub fn process_stream<I>(&self, packets: I) -> ShardedReport
-    where
-        I: IntoIterator<Item = Packet>,
-    {
-        let results: Mutex<ShardedReport> = Mutex::new(ShardedReport {
-            shards: self.shards,
-            cdb_sizes: vec![0; self.shards],
-            ..ShardedReport::default()
-        });
-
-        thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(self.shards);
-            for shard in 0..self.shards {
-                let (tx, rx) = mpsc::sync_channel::<Packet>(1024);
-                senders.push(tx);
-                let results = &results;
-                let model = self.model.clone();
-                let mut config = self.config.clone();
-                // Decorrelate per-shard RNG streams (random-skip offsets,
-                // estimator sampling).
-                config.seed = config.seed.wrapping_add(shard as u64);
-                scope.spawn(move || {
-                    let mut pipeline = Iustitia::new(model, config);
-                    let mut packets = 0u64;
-                    let mut hits = 0u64;
-                    let mut last_t = 0.0f64;
-                    for packet in rx {
-                        last_t = packet.timestamp;
-                        packets += 1;
-                        if let Verdict::Hit(_) = pipeline.process_packet(&packet) {
-                            hits += 1;
-                        }
-                    }
-                    pipeline.sweep_idle(last_t + pipeline.config().idle_timeout + 1.0);
-                    let log = pipeline.take_log();
-                    // A poisoned lock means a sibling shard panicked; its
-                    // partial report is still aggregable, and the panic
-                    // itself re-surfaces when thread::scope joins.
-                    let mut agg = results.lock().unwrap_or_else(PoisonError::into_inner);
-                    agg.packets += packets;
-                    agg.hits += hits;
-                    agg.flows_classified += log.len() as u64;
-                    agg.log.extend(log);
-                    agg.cdb_sizes[shard] = pipeline.cdb().len();
-                });
-            }
-
-            for packet in packets {
-                let shard = self.shard_of(&FlowId::of_tuple(&packet.tuple));
-                // A send fails only if the worker panicked; that panic
-                // re-surfaces when thread::scope joins, so dropping the
-                // packet here never silently loses the failure.
-                let _ = senders[shard].send(packet);
-            }
-            drop(senders); // close channels; workers drain and exit
-        });
-
-        results.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
 
 /// The shard a flow lands on: the first bytes of its 160-bit flow hash,
 /// reduced mod `shards` — the same uniform partitioning an RSS-style
-/// NIC queue would apply. Shared by [`ShardedIustitia`] and the
-/// `iustitia-serve` worker pool so both deployments agree on placement.
+/// NIC queue would apply. Every sharded deployment routes through this
+/// function, so they all agree on placement.
 ///
 /// # Panics
 ///
@@ -176,63 +42,13 @@ pub fn shard_index(id: &FlowId, shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{FeatureMode, TrainingMethod};
-    use crate::model::{train_from_corpus, ModelKind};
-    use iustitia_corpus::CorpusBuilder;
-    use iustitia_entropy::FeatureWidths;
-    use iustitia_netsim::{ContentMode, TraceConfig, TraceGenerator};
-
-    fn model() -> NatureModel {
-        let corpus = CorpusBuilder::new(5).files_per_class(25).size_range(1024, 4096).build();
-        train_from_corpus(
-            &corpus,
-            &FeatureWidths::svm_selected(),
-            TrainingMethod::Prefix { b: 32 },
-            FeatureMode::Exact,
-            &ModelKind::paper_cart(),
-            5,
-        )
-        .expect("train")
-    }
-
-    fn trace(seed: u64, n_flows: usize) -> TraceConfig {
-        let mut c = TraceConfig::small_test(seed);
-        c.n_flows = n_flows;
-        c.content = ContentMode::SizesOnly;
-        c
-    }
-
-    #[test]
-    fn sharded_run_covers_all_packets() {
-        let sharded = ShardedIustitia::new(model(), PipelineConfig::headline(1), 4);
-        let packets: Vec<_> = TraceGenerator::new(trace(1, 120)).collect();
-        let n = packets.len() as u64;
-        let report = sharded.process_stream(packets);
-        assert_eq!(report.packets, n);
-        assert!(report.flows_classified > 0);
-        assert_eq!(report.cdb_sizes.len(), 4);
-    }
-
-    #[test]
-    fn sharded_equals_single_shard_on_flow_counts() {
-        // With identical pipelines, total classifications must not
-        // depend on the shard count (flows never straddle shards).
-        let packets: Vec<_> = TraceGenerator::new(trace(2, 100)).collect();
-        let one = ShardedIustitia::new(model(), PipelineConfig::headline(2), 1)
-            .process_stream(packets.clone());
-        let four =
-            ShardedIustitia::new(model(), PipelineConfig::headline(2), 4).process_stream(packets);
-        assert_eq!(one.flows_classified, four.flows_classified);
-        assert_eq!(one.hits, four.hits);
-    }
 
     #[test]
     fn shard_assignment_is_stable_and_in_range() {
-        let sharded = ShardedIustitia::new(model(), PipelineConfig::headline(3), 7);
         for b in 0..40u8 {
             let id = FlowId([b; 20]);
-            let s1 = sharded.shard_of(&id);
-            let s2 = sharded.shard_of(&id);
+            let s1 = shard_index(&id, 7);
+            let s2 = shard_index(&id, 7);
             assert_eq!(s1, s2);
             assert!(s1 < 7);
         }
@@ -241,6 +57,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        ShardedIustitia::new(model(), PipelineConfig::headline(4), 0);
+        shard_index(&FlowId([0; 20]), 0);
     }
 }

@@ -35,7 +35,7 @@
 //! * [`persist`] — save/load trained models as JSON.
 //! * [`pipeline`] — the online engine of Figure 1.
 //! * [`analysis`] — trace-driven delay/CDB time series (Figures 8, 10).
-//! * [`concurrent`] — flow-sharded multi-core deployment.
+//! * [`concurrent`] — flow-to-shard placement for multi-core deployments.
 //! * [`defense`] — §4.6 padding attacks and mitigations.
 //! * [`tunnel`] — §4.6 tunnel policy (encrypted tunnel vs inner flows).
 //!
@@ -84,7 +84,7 @@ pub use iustitia_corpus::FileClass;
 pub mod prelude {
     pub use crate::analysis::{run_over_trace, DelayComponents, TraceRunReport};
     pub use crate::cdb::{CdbConfig, ClassificationDatabase, FlowId};
-    pub use crate::concurrent::{ShardedIustitia, ShardedReport};
+    pub use crate::concurrent::shard_index;
     pub use crate::defense::{pad_flow, PaddingAttacker};
     pub use crate::features::{dataset_from_corpus, FeatureExtractor, FeatureMode, TrainingMethod};
     pub use crate::model::{ModelKind, NatureModel};

@@ -224,21 +224,91 @@ enum FlowStage {
     Staging(Vec<u8>),
     /// Header decision resolved: payload streams straight into the
     /// incremental feature state, nothing is retained.
-    Streaming {
-        /// Per-flow incremental feature session.
-        features: FlowFeatureState,
-        /// Classification-window bytes fed so far (`≤ b`).
-        fed: usize,
-        /// Header/skip bytes still to discard before feeding.
-        skip_remaining: usize,
-        /// `fed` as of the last anytime probe (0 before any probe);
-        /// gates the probe stride. Stays 0 when anytime is off.
-        probed: usize,
-        /// Label the previous anytime probe predicted, if any: the
-        /// patience rule only emits a verdict when two consecutive
-        /// probes agree. Stays `None` when anytime is off.
-        last_probe: Option<FileClass>,
-    },
+    Streaming(Stream),
+}
+
+/// The feature session of a flow whose header decision has resolved.
+#[derive(Debug)]
+struct Stream {
+    /// Per-flow incremental feature session.
+    features: FlowFeatureState,
+    /// Classification-window bytes fed so far (`≤ b`).
+    fed: usize,
+    /// Header/skip bytes still to discard before feeding.
+    skip_remaining: usize,
+    /// `fed` as of the last anytime probe (0 before any probe); gates
+    /// the probe stride. Stays 0 when anytime is off.
+    probed: usize,
+    /// Label the previous anytime probe predicted, if any: the patience
+    /// rule only emits a verdict when two consecutive probes agree.
+    /// Stays `None` when anytime is off.
+    last_probe: Option<FileClass>,
+}
+
+impl Stream {
+    /// Discards `skip_remaining` leading bytes of `chunk`, then feeds
+    /// up to the remaining classification window into the feature state.
+    fn feed(&mut self, mut chunk: &[u8], b: usize) {
+        if self.skip_remaining > 0 {
+            let skipped = self.skip_remaining.min(chunk.len());
+            self.skip_remaining -= skipped;
+            // lint: allow(L008) — skipped <= chunk.len() by the min() above
+            chunk = &chunk[skipped..];
+        }
+        let take = b.saturating_sub(self.fed).min(chunk.len());
+        if take > 0 {
+            // lint: allow(L008) — take <= chunk.len() by the min() above
+            self.features.update(&chunk[..take]);
+            self.fed += take;
+        }
+    }
+}
+
+/// Free list of feature states from closed flows: new flows reset and
+/// reuse these instead of allocating, so steady-state packet processing
+/// touches the allocator only while the pool is warming.
+#[derive(Debug, Default)]
+struct StatePool {
+    free: Vec<FlowFeatureState>,
+    /// Number of flows whose feature state came from the pool.
+    hits: u64,
+}
+
+impl StatePool {
+    /// Starts a stream that skips `skip` bytes, on a feature state from
+    /// the free list (reset) or a fresh one.
+    fn stream(&mut self, extractor: &FeatureExtractor, b: usize, skip: usize) -> Stream {
+        let features = match self.free.pop() {
+            Some(mut state) => {
+                extractor.reset_flow(&mut state, b);
+                self.hits += 1;
+                state
+            }
+            None => extractor.begin_flow(b),
+        };
+        Stream { features, fed: 0, skip_remaining: skip, probed: 0, last_probe: None }
+    }
+
+    /// Returns a closed flow's feature state to the free list.
+    fn recycle(&mut self, state: FlowFeatureState) {
+        if self.free.len() < MAX_POOLED_STATES {
+            self.free.push(state);
+        }
+    }
+}
+
+/// Reused buffers for finishing feature vectors, so steady-state
+/// classification and anytime probes never allocate.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The finished feature vector of the flow being classified.
+    features: Vec<f64>,
+    /// Exact-histogram count sorting inside feature finishes (see
+    /// `GramHistogram::sum_m_log_m_with`).
+    counts: Vec<u64>,
+    /// The estimated sketches' per-finish median buffers (see
+    /// `FlowFeatureState::finish_into_with`).
+    means: Vec<f64>,
 }
 
 #[derive(Debug)]
@@ -259,7 +329,7 @@ impl FlowBuffer {
     fn resident_bytes(&self) -> usize {
         match &self.stage {
             FlowStage::Staging(staged) => staged.len(),
-            FlowStage::Streaming { features, .. } => features.resident_bytes(),
+            FlowStage::Streaming(stream) => stream.features.resident_bytes(),
         }
     }
 }
@@ -330,18 +400,8 @@ pub struct Iustitia {
     resident: usize,
     /// Timestamp of the last opportunistic idle sweep.
     last_sweep: f64,
-    /// Free list of feature states from closed flows: new flows reset
-    /// and reuse these instead of allocating, so steady-state packet
-    /// processing touches the allocator only while the pool is warming.
-    pool: Vec<FlowFeatureState>,
-    /// Number of flows whose feature state came from the pool.
-    pool_hits: u64,
-    /// Scratch for the finished feature vector of the flow being
-    /// classified, so steady-state classification never allocates.
-    feature_scratch: Vec<f64>,
-    /// Scratch for exact-histogram count sorting inside feature
-    /// finishes (see `GramHistogram::sum_m_log_m_with`).
-    counts_scratch: Vec<u64>,
+    pool: StatePool,
+    scratch: Scratch,
     /// Scratch verdict buffer for the batch-of-one
     /// [`process_packet`](Self::process_packet) wrapper, so the wrapper
     /// stays allocation-free once warm.
@@ -357,10 +417,16 @@ pub struct Iustitia {
     anytime_compiled: Vec<(u64, CompiledNatureModel)>,
     /// Verdicts emitted by anytime probes before the buffer filled.
     early_exits: u64,
-    /// Scratch for the estimated sketches' per-finish median buffers,
-    /// so anytime probes never allocate (see
-    /// `FlowFeatureState::finish_into_with`).
-    means_scratch: Vec<f64>,
+}
+
+/// Whether `p` may join a phase of `flow`: a same-flow data packet with
+/// certainly no idle sweep due (a NaN comparison ends the phase, which
+/// is always safe: the next phase re-resolves the packet from scratch).
+fn joins(p: &BatchPacket<'_>, flow: FlowId, last_sweep: f64, idle_timeout: f64) -> bool {
+    p.flow == flow
+        && p.packet.is_data()
+        && !p.packet.flags.closes_flow()
+        && p.packet.timestamp - last_sweep < idle_timeout
 }
 
 /// Upper bound on pooled [`FlowFeatureState`]s, so a burst of
@@ -391,15 +457,12 @@ impl Iustitia {
             log: Vec::new(),
             resident: 0,
             last_sweep: f64::NEG_INFINITY,
-            pool: Vec::new(),
-            pool_hits: 0,
-            feature_scratch: Vec::new(),
-            counts_scratch: Vec::new(),
+            pool: StatePool::default(),
+            scratch: Scratch::default(),
             verdict_scratch: Vec::new(),
             anytime_model: None,
             anytime_compiled: Vec::new(),
             early_exits: 0,
-            means_scratch: Vec::new(),
         }
     }
 
@@ -414,55 +477,28 @@ impl Iustitia {
         self
     }
 
-    /// Takes a feature state from the free list (resetting it) or
-    /// builds a fresh one. A free function over disjoint fields so the
-    /// flow-table entry borrow can stay live at the call sites.
-    fn acquire_state(
-        pool: &mut Vec<FlowFeatureState>,
-        pool_hits: &mut u64,
-        extractor: &FeatureExtractor,
-        b: usize,
-    ) -> FlowFeatureState {
-        match pool.pop() {
-            Some(mut state) => {
-                extractor.reset_flow(&mut state, b);
-                *pool_hits += 1;
-                state
-            }
-            None => extractor.begin_flow(b),
-        }
-    }
-
-    /// Returns a closed flow's feature state to the free list.
-    fn recycle_state(&mut self, state: FlowFeatureState) {
-        if self.pool.len() < MAX_POOLED_STATES {
-            self.pool.push(state);
-        }
-    }
-
-    /// Probes one buffering flow's partial feature vector: finish it
-    /// into scratch, predict with margin using the stage model fitted
-    /// nearest below `fed`, score against the centroid stages, and
-    /// return the label when the score clears `threshold` AND the
-    /// previous probe of this flow predicted the same label (the
-    /// patience rule: two consecutive agreeing probes, so a single
-    /// unstable early prediction can never classify the flow). A free
-    /// function over disjoint fields so the flow-table entry borrow can
-    /// stay live at the call sites (like
-    /// [`acquire_state`](Self::acquire_state)); allocation-free once
-    /// the scratch buffers are warm.
-    #[allow(clippy::too_many_arguments)]
+    /// Probes one buffering flow's partial feature vector once the
+    /// policy's floor and stride allow: finish it into scratch, predict
+    /// with margin using the stage model fitted nearest below `fed`,
+    /// score against the centroid stages, and return the label when the
+    /// score clears the threshold AND the previous probe of this flow
+    /// predicted the same label (the patience rule: two consecutive
+    /// agreeing probes, so a single unstable early prediction can never
+    /// classify the flow). An associated function over disjoint fields,
+    /// so the flow-table entry borrow can stay live at the call site;
+    /// allocation-free once the scratch buffers are warm.
     fn probe_anytime(
+        policy: &AnytimeConfig,
         confidence: &ConfidenceModel,
-        threshold: f64,
         stages: &mut [(u64, CompiledNatureModel)],
-        features: &FlowFeatureState,
-        fed: usize,
-        last_probe: &mut Option<FileClass>,
-        feature_scratch: &mut Vec<f64>,
-        counts_scratch: &mut Vec<u64>,
-        means_scratch: &mut Vec<f64>,
+        stream: &mut Stream,
+        scratch: &mut Scratch,
     ) -> Option<FileClass> {
+        let fed = stream.fed;
+        if fed < policy.min_bytes || fed - stream.probed < policy.probe_stride {
+            return None;
+        }
+        stream.probed = fed;
         // The stage fitted nearest below `fed` bytes (the first when
         // `fed` undershoots them all), mirroring the centroid stage
         // selection inside `ConfidenceModel::score`.
@@ -475,15 +511,19 @@ impl Iustitia {
             }
         }
         let (_, stage) = stages.get_mut(idx)?;
-        features.finish_into_with(feature_scratch, counts_scratch, means_scratch);
-        let (label, margin) = stage.try_predict_with_margin(feature_scratch).ok()?;
-        let agreed = *last_probe == Some(label);
-        *last_probe = Some(label);
+        stream.features.finish_into_with(
+            &mut scratch.features,
+            &mut scratch.counts,
+            &mut scratch.means,
+        );
+        let (label, margin) = stage.try_predict_with_margin(&scratch.features).ok()?;
+        let agreed = stream.last_probe == Some(label);
+        stream.last_probe = Some(label);
         if !agreed {
             return None;
         }
-        let score = confidence.score(feature_scratch, fed as u64, label.index(), margin);
-        (score >= threshold).then_some(label)
+        let score = confidence.score(&scratch.features, fed as u64, label.index(), margin);
+        (score >= policy.threshold).then_some(label)
     }
 
     /// The configuration in use.
@@ -513,6 +553,11 @@ impl Iustitia {
         self.buffers.len()
     }
 
+    /// Whether `flow` is buffering, i.e. its verdict is still owed.
+    pub fn is_pending(&self, flow: &FlowId) -> bool {
+        self.buffers.contains_key(flow)
+    }
+
     /// Estimated heap bytes resident across all pending flows' feature
     /// state and header staging buffers (maintained incrementally; the
     /// quantity the §4.4 estimation trades against).
@@ -524,12 +569,12 @@ impl Iustitia {
     /// instead of freshly allocated (a steady-state pipeline trends
     /// toward `pool_hits ≈ flows classified`).
     pub fn state_pool_hits(&self) -> u64 {
-        self.pool_hits
+        self.pool.hits
     }
 
     /// Feature states currently parked on the free list.
     pub fn state_pool_size(&self) -> usize {
-        self.pool.len()
+        self.pool.free.len()
     }
 
     /// Number of verdicts emitted by anytime probes before the
@@ -573,477 +618,222 @@ impl Iustitia {
     /// Processes a batch of packets in order, pushing exactly one
     /// verdict per packet into `verdicts` (cleared first).
     ///
-    /// Maximal runs of consecutive same-flow data packets are processed
-    /// as a group ([`Self::process_run`]): the CDB lookup and the
-    /// flow-table entry are resolved once per phase of the run instead
-    /// of once per packet, and payload slices stream back-to-back into
-    /// the same feature state. Control and close packets are never
-    /// grouped — they take the canonical per-packet path in place, so
-    /// ordering semantics (CDB close removal, leftovers classification)
-    /// are untouched.
+    /// Every packet goes through the one ingest step of Figure 1
+    /// ([`Self::ingest`]). Consecutive same-flow data packets share a
+    /// *phase*: its CDB record or flow-table entry is resolved once
+    /// instead of once per packet, and payload slices stream
+    /// back-to-back into the same feature state.
     ///
     /// **Bit-identity invariant:** for any batch, the verdict sequence,
     /// every gauge and counter, the CDB contents, and the classification
     /// log are bit-for-bit what sequential
     /// [`process_packet`](Self::process_packet) calls over the same
-    /// packets would produce. Group amortization only elides hash-map
-    /// re-resolutions whose outcomes are provably unchanged within a
-    /// phase: repeated CDB misses while a flow is buffering have no side
+    /// packets would produce. A phase only elides hash-map
+    /// re-resolutions whose outcomes are provably unchanged within it:
+    /// repeated CDB misses while a flow is buffering have no side
     /// effects, and repeated hits mutate only the record the phase
-    /// already holds. Any packet that needs a slow-path event (idle
-    /// sweep due, header still staging, TTL expiry, buffer full) ends
-    /// its phase and re-resolves through the canonical path.
+    /// already holds. A packet with an idle sweep due or an expired CDB
+    /// record starts a new phase, which resolves it from scratch.
     pub fn process_batch(&mut self, batch: &[BatchPacket<'_>], verdicts: &mut Vec<Verdict>) {
         verdicts.clear();
         // lint: allow(L009) — caller-owned scratch: grows once to the largest batch seen, then reused
         verdicts.reserve(batch.len());
         let mut rest = batch;
         while let Some((first, tail)) = rest.split_first() {
-            let groupable = first.packet.is_data() && !first.packet.flags.closes_flow();
-            if !groupable {
-                let verdict = self.process_one(first.flow, first.packet);
-                // lint: allow(L009) — within the capacity reserved above
-                verdicts.push(verdict);
-                rest = tail;
-                continue;
-            }
-            let mut run_len = 1;
-            for p in tail {
-                if p.flow != first.flow || !p.packet.is_data() || p.packet.flags.closes_flow() {
-                    break;
-                }
-                run_len += 1;
-            }
-            // lint: allow(L008) — the scan above stops within tail, so run_len <= rest.len()
-            let (run, remainder) = rest.split_at(run_len);
-            self.process_run(first.flow, run, verdicts);
-            rest = remainder;
+            let joined = self.ingest(first, tail, verdicts);
+            rest = tail.get(joined..).unwrap_or_default();
         }
     }
 
-    /// Processes one maximal run of same-flow data packets, pushing one
-    /// verdict per packet. Each iteration of the outer loop consumes at
-    /// least one packet: the sweep-due and header-staging fallbacks hand
-    /// exactly one packet to [`Self::process_one`], and both amortized
-    /// phases consume one before any early exit can fire.
-    fn process_run(&mut self, flow: FlowId, run: &[BatchPacket<'_>], verdicts: &mut Vec<Verdict>) {
+    /// The per-flow state machine of Figure 1, run for one phase of
+    /// `first`'s flow: a due idle sweep, then close or control
+    /// pass-through, a CDB hit, or buffering through header staging, the
+    /// full-`b` check and the anytime probe. Same-flow data packets at
+    /// the head of `tail` join the phase while no sweep falls due; a
+    /// buffering phase ends at the flow's verdict. Pushes one verdict
+    /// per packet and returns how many packets of `tail` joined.
+    fn ingest(
+        &mut self,
+        first: &BatchPacket<'_>,
+        tail: &[BatchPacket<'_>],
+        verdicts: &mut Vec<Verdict>,
+    ) -> usize {
+        let (flow, now) = (first.flow, first.packet.timestamp);
         let idle_timeout = self.config.idle_timeout;
-        let ttl = self.config.cdb.reclassify_after;
-        let b = self.config.buffer_size;
-        let capacity = self.buffer_capacity();
-        let policy = self.config.header_policy;
-        let anytime = self.config.anytime;
-        let mut rest = run;
-        while let Some((first, tail)) = rest.split_first() {
-            let now = first.packet.timestamp;
-            // The idle sweep fires at most once per idle_timeout; when
-            // one is due, that packet takes the canonical path (which
-            // performs it), keeping sweep timing identical to
-            // per-packet processing.
-            if now - self.last_sweep >= idle_timeout {
-                let verdict = self.process_one(flow, first.packet);
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(verdict);
-                rest = tail;
-                continue;
-            }
-
-            // --- Hit phase: the flow is already classified. ---
-            if let Some(label) = self.cdb.lookup(&flow, now) {
-                // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-                self.queues.forwarded[label.index()] += 1;
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(Verdict::Hit(label));
-                rest = tail;
-                // Subsequent packets refresh the same record in place —
-                // the per-packet `lookup` body minus the re-hash. The
-                // label cannot change while the record lives.
-                if let Some(rec) = self.cdb.record_mut(&flow) {
-                    while let Some((p, after)) = rest.split_first() {
-                        let t = p.packet.timestamp;
-                        if t - self.last_sweep >= idle_timeout {
-                            break;
-                        }
-                        if let Some(ttl) = ttl {
-                            if t - rec.classified_at > ttl {
-                                // Expired: the next outer iteration's
-                                // `lookup` removes the record and counts
-                                // the eviction, exactly as the
-                                // per-packet path would.
-                                break;
-                            }
-                        }
-                        rec.last_iat = Some((t - rec.last_seen).max(0.0));
-                        rec.last_seen = t;
-                        // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-                        self.queues.forwarded[label.index()] += 1;
-                        // lint: allow(L009) — within the capacity reserved by process_batch
-                        verdicts.push(Verdict::Hit(label));
-                        rest = after;
-                    }
-                }
-                continue;
-            }
-
-            // --- Buffering phase: resolve the flow-table entry once and
-            // stream consecutive packets into the same feature state.
-            // While a flow is buffering it has no CDB record (inserts
-            // only happen at classification, which evicts the buffer),
-            // so the per-packet lookups elided here would all miss with
-            // zero side effects.
-            let mut classify_at: Option<f64> = None;
-            let mut early_at: Option<(f64, FileClass)> = None;
-            let mut staging = false;
-            {
-                let (buf, mut created) = match self.buffers.entry(flow) {
-                    Entry::Occupied(e) => (e.into_mut(), false),
-                    Entry::Vacant(v) => {
-                        let stage = match policy {
-                            HeaderPolicy::StripKnown { .. } => FlowStage::Staging(Vec::new()),
-                            _ => {
-                                let skip_remaining = match policy {
-                                    HeaderPolicy::None | HeaderPolicy::StripKnown { .. } => 0,
-                                    HeaderPolicy::SkipThreshold { t } => t,
-                                    HeaderPolicy::RandomSkip { t_max } => {
-                                        // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
-                                        self.rng.gen_range(0..=t_max)
-                                    }
-                                };
-                                FlowStage::Streaming {
-                                    features: Self::acquire_state(
-                                        &mut self.pool,
-                                        &mut self.pool_hits,
-                                        &self.extractor,
-                                        b,
-                                    ),
-                                    fed: 0,
-                                    skip_remaining,
-                                    probed: 0,
-                                    last_probe: None,
-                                }
-                            }
-                        };
-                        (
-                            v.insert(FlowBuffer {
-                                stage,
-                                first_ts: now,
-                                last_ts: now,
-                                packets: 0,
-                                seen: 0,
-                            }),
-                            true,
-                        )
-                    }
-                };
-                while let Some((p, after)) = rest.split_first() {
-                    let t = p.packet.timestamp;
-                    // Both early exits can only fire with `created`
-                    // already consumed or a zero-resident Staging
-                    // buffer: the first iteration's sweep check repeats
-                    // the outer loop's (false) one, and a created
-                    // Staging stage holds no bytes yet.
-                    if t - self.last_sweep >= idle_timeout {
-                        break;
-                    }
-                    if matches!(buf.stage, FlowStage::Staging(_)) {
-                        // Header skip/strip still unresolved: the
-                        // scan-and-transition logic lives in the
-                        // canonical path; hand it this packet.
-                        staging = true;
-                        break;
-                    }
-                    buf.packets += 1;
-                    buf.last_ts = t;
-                    self.queues.buffered += 1;
-                    let before = if created { 0 } else { buf.resident_bytes() };
-                    created = false;
-                    let room = capacity.saturating_sub(buf.seen);
-                    // lint: allow(L008) — slice end is min'd with payload.len()
-                    let intake = &p.packet.payload[..room.min(p.packet.payload.len())];
-                    buf.seen += intake.len();
-                    if let FlowStage::Streaming { features, fed, skip_remaining, .. } =
-                        &mut buf.stage
-                    {
-                        Self::feed_streaming(features, fed, skip_remaining, intake, b);
-                    }
-                    self.resident = self.resident - before + buf.resident_bytes();
-                    rest = after;
-                    let full = match &buf.stage {
-                        FlowStage::Staging(staged) => staged.len() >= capacity,
-                        FlowStage::Streaming { fed, .. } => *fed >= b || buf.seen >= capacity,
-                    };
-                    if full {
-                        classify_at = Some(t);
-                        break;
-                    }
-                    // Anytime probe: same per-packet cadence as the
-                    // canonical path, so batch verdicts stay bit-identical
-                    // to per-packet processing.
-                    if let Some(any) = anytime {
-                        if let (
-                            Some(am),
-                            FlowStage::Streaming { features, fed, probed, last_probe, .. },
-                        ) = (&self.anytime_model, &mut buf.stage)
-                        {
-                            if *fed >= any.min_bytes && *fed - *probed >= any.probe_stride {
-                                *probed = *fed;
-                                if let Some(label) = Self::probe_anytime(
-                                    &am.confidence,
-                                    any.threshold,
-                                    &mut self.anytime_compiled,
-                                    features,
-                                    *fed,
-                                    last_probe,
-                                    &mut self.feature_scratch,
-                                    &mut self.counts_scratch,
-                                    &mut self.means_scratch,
-                                ) {
-                                    early_at = Some((t, label));
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    // lint: allow(L009) — within the capacity reserved by process_batch
-                    verdicts.push(Verdict::Buffering);
-                }
-            }
-            if staging {
-                if let Some((p, after)) = rest.split_first() {
-                    let verdict = self.process_one(flow, p.packet);
-                    // lint: allow(L009) — within the capacity reserved by process_batch
-                    verdicts.push(verdict);
-                    rest = after;
-                }
-            } else if let Some(t) = classify_at {
-                let verdict = match self.classify_flow(flow, t) {
-                    Some(label) => Verdict::Classified(label),
-                    None => Verdict::Ignored,
-                };
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(verdict);
-            } else if let Some((t, label)) = early_at {
-                self.classify_early(flow, t, label);
-                // lint: allow(L009) — within the capacity reserved by process_batch
-                verdicts.push(Verdict::Classified(label));
-            }
-        }
-    }
-
-    /// The canonical single-packet path: every slow or stateful event
-    /// (sweeps, closes, header staging, creation, classification) is
-    /// defined here, and the batch phases only amortize lookups whose
-    /// elision it proves side-effect-free.
-    fn process_one(&mut self, id: FlowId, packet: &Packet) -> Verdict {
-        let now = packet.timestamp;
 
         // Opportunistic idle sweep, at most once per idle_timeout: the
         // configured timeout is enforced even when nobody calls
         // `sweep_idle` explicitly, so stalled flows cannot pin their
         // state forever.
-        if now - self.last_sweep >= self.config.idle_timeout {
+        if now - self.last_sweep >= idle_timeout {
             if self.last_sweep.is_finite() {
                 self.sweep_idle(now);
             }
             self.last_sweep = now;
         }
 
-        if packet.flags.closes_flow() {
-            self.cdb.remove_on_close(&id);
+        let closes = first.packet.flags.closes_flow();
+        if closes {
+            self.cdb.remove_on_close(&flow);
             // A close while still buffering classifies what we have.
-            if self.buffers.contains_key(&id) {
-                self.classify_flow(id, now);
+            if self.buffers.contains_key(&flow) {
+                self.classify_flow(flow, now, None);
             }
-            self.queues.passed_through += 1;
-            return Verdict::Ignored;
         }
-        if !packet.is_data() {
+        if closes || !first.packet.is_data() {
             self.queues.passed_through += 1;
-            return Verdict::Ignored;
+            // lint: allow(L009) — within the capacity reserved by process_batch
+            verdicts.push(Verdict::Ignored);
+            return 0;
         }
 
-        if let Some(label) = self.cdb.lookup(&id, now) {
+        let last_sweep = self.last_sweep;
+
+        // --- Hit phase: the flow is already classified. Joining packets
+        // refresh the held record in place — the `lookup` body minus the
+        // re-hash; the label cannot change while the record lives.
+        if let Some(label) = self.cdb.lookup(&flow, now) {
+            let ttl = self.config.cdb.reclassify_after;
+            let mut joined = 0;
+            if let Some(rec) = self.cdb.record_mut(&flow) {
+                for p in tail {
+                    let t = p.packet.timestamp;
+                    // Expired: the next phase's `lookup` removes the
+                    // record and counts the eviction.
+                    let expired = ttl.is_some_and(|ttl| t - rec.classified_at > ttl);
+                    if expired || !joins(p, flow, last_sweep, idle_timeout) {
+                        break;
+                    }
+                    rec.last_iat = Some((t - rec.last_seen).max(0.0));
+                    rec.last_seen = t;
+                    joined += 1;
+                }
+            }
             // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-            self.queues.forwarded[label.index()] += 1;
-            return Verdict::Hit(label);
+            self.queues.forwarded[label.index()] += 1 + joined as u64;
+            for _ in 0..=joined {
+                // lint: allow(L009) — within the capacity reserved by process_batch
+                verdicts.push(Verdict::Hit(label));
+            }
+            return joined;
         }
 
+        // --- Buffering phase: resolve the flow-table entry once and
+        // stream joining packets into the same state. While a flow is
+        // buffering it has no CDB record (inserts only happen at
+        // classification, which evicts the buffer), so the per-packet
+        // lookups elided here would all miss with zero side effects.
         let b = self.config.buffer_size;
         let capacity = self.buffer_capacity();
         let policy = self.config.header_policy;
-        let (buf, created) = match self.buffers.entry(id) {
-            Entry::Occupied(e) => (e.into_mut(), false),
+        let buf = match self.buffers.entry(flow) {
+            Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(v) => {
                 // Every policy except StripKnown knows its skip up
                 // front, so those flows stream from the first byte and
                 // never stage payload.
-                let stage = match policy {
-                    HeaderPolicy::StripKnown { .. } => FlowStage::Staging(Vec::new()),
-                    _ => {
-                        let skip_remaining = match policy {
-                            HeaderPolicy::None | HeaderPolicy::StripKnown { .. } => 0,
-                            HeaderPolicy::SkipThreshold { t } => t,
-                            // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
-                            HeaderPolicy::RandomSkip { t_max } => self.rng.gen_range(0..=t_max),
-                        };
-                        FlowStage::Streaming {
-                            features: Self::acquire_state(
-                                &mut self.pool,
-                                &mut self.pool_hits,
-                                &self.extractor,
-                                b,
-                            ),
-                            fed: 0,
-                            skip_remaining,
-                            probed: 0,
-                            last_probe: None,
-                        }
-                    }
+                let skip = match policy {
+                    HeaderPolicy::None => Some(0),
+                    HeaderPolicy::StripKnown { .. } => None,
+                    HeaderPolicy::SkipThreshold { t } => Some(t),
+                    // lint: allow(L008) — 0..=t_max is an inclusive range, never empty
+                    HeaderPolicy::RandomSkip { t_max } => Some(self.rng.gen_range(0..=t_max)),
                 };
-                (
-                    v.insert(FlowBuffer {
-                        stage,
-                        first_ts: now,
-                        last_ts: now,
-                        packets: 0,
-                        seen: 0,
-                    }),
-                    true,
-                )
+                let stage = match skip {
+                    None => FlowStage::Staging(Vec::new()),
+                    Some(skip) => FlowStage::Streaming(self.pool.stream(&self.extractor, b, skip)),
+                };
+                let buf = v.insert(FlowBuffer {
+                    stage,
+                    first_ts: now,
+                    last_ts: now,
+                    packets: 0,
+                    seen: 0,
+                });
+                // A fresh estimated-mode flow allocates its sketch
+                // trackers up front: its whole footprint is new.
+                self.resident += buf.resident_bytes();
+                buf
             }
         };
 
-        buf.packets += 1;
-        buf.last_ts = now;
-        self.queues.buffered += 1;
-
-        // A fresh estimated-mode flow allocates its sketch trackers up
-        // front, so a newly created buffer contributes its entire
-        // resident footprint, not a delta from a prior value.
-        let before = if created { 0 } else { buf.resident_bytes() };
-        let room = capacity.saturating_sub(buf.seen);
-        // lint: allow(L008) — slice end is min'd with payload.len()
-        let intake = &packet.payload[..room.min(packet.payload.len())];
-        buf.seen += intake.len();
-
-        match &mut buf.stage {
-            FlowStage::Staging(staging) => {
-                // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix (see L006), once per flow
-                staging.extend_from_slice(intake);
-                let resolved_skip = match scan_application_header(staging) {
-                    HeaderScan::Resolved(_, offset) => Some(offset),
-                    // Unknown application: the threshold-T fallback is
-                    // now final too.
-                    HeaderScan::Unknown => match policy {
-                        HeaderPolicy::StripKnown { t } => Some(t),
-                        // Staging only happens under StripKnown.
-                        _ => Some(0),
-                    },
-                    HeaderScan::NeedMore => None,
-                };
-                if let Some(skip) = resolved_skip {
-                    let staged = std::mem::take(staging);
-                    let mut features = Self::acquire_state(
-                        &mut self.pool,
-                        &mut self.pool_hits,
-                        &self.extractor,
-                        b,
-                    );
-                    let mut fed = 0usize;
-                    let mut skip_remaining = skip;
-                    if staged.len() > skip {
-                        let take = (staged.len() - skip).min(b);
-                        // lint: allow(L008) — skip < staged.len() on this branch and take <= staged.len() - skip
-                        features.update(&staged[skip..skip + take]);
-                        fed = take;
-                        skip_remaining = 0;
-                    } else {
-                        skip_remaining -= staged.len();
-                    }
-                    buf.stage = FlowStage::Streaming {
-                        features,
-                        fed,
-                        skip_remaining,
-                        probed: 0,
-                        last_probe: None,
+        let mut joined = 0;
+        let mut packet = first.packet;
+        loop {
+            let t = packet.timestamp;
+            buf.packets += 1;
+            buf.last_ts = t;
+            self.queues.buffered += 1;
+            let before = buf.resident_bytes();
+            let room = capacity.saturating_sub(buf.seen);
+            // lint: allow(L008) — slice end is min'd with payload.len()
+            let intake = &packet.payload[..room.min(packet.payload.len())];
+            buf.seen += intake.len();
+            match &mut buf.stage {
+                FlowStage::Staging(staging) => {
+                    // lint: allow(L009) — staging buffers only the bounded pre-resolution prefix (see L006), once per flow
+                    staging.extend_from_slice(intake);
+                    let skip = match scan_application_header(staging) {
+                        HeaderScan::Resolved(_, offset) => Some(offset),
+                        // Unknown application: the threshold-T
+                        // fallback is now final too.
+                        HeaderScan::Unknown => Some(policy.allowance()),
+                        HeaderScan::NeedMore => None,
                     };
-                }
-            }
-            FlowStage::Streaming { features, fed, skip_remaining, .. } => {
-                Self::feed_streaming(features, fed, skip_remaining, intake, b);
-            }
-        }
-        let after = buf.resident_bytes();
-        self.resident = self.resident - before + after;
-
-        let full = match &buf.stage {
-            FlowStage::Staging(staged) => staged.len() >= capacity,
-            // A resolved header longer than the allowance can leave
-            // fewer than `b` window bytes in the first `capacity`
-            // payload bytes; `seen >= capacity` classifies those flows
-            // from what fits, like the old full-buffer path did.
-            FlowStage::Streaming { fed, .. } => *fed >= b || buf.seen >= capacity,
-        };
-        if full {
-            return match self.classify_flow(id, now) {
-                Some(label) => Verdict::Classified(label),
-                None => Verdict::Ignored,
-            };
-        }
-        // Anytime probe: a confident partial vector classifies the flow
-        // now instead of waiting for the `fed >= b` cap above.
-        if let Some(any) = self.config.anytime {
-            if let (Some(am), FlowStage::Streaming { features, fed, probed, last_probe, .. }) =
-                (&self.anytime_model, &mut buf.stage)
-            {
-                if *fed >= any.min_bytes && *fed - *probed >= any.probe_stride {
-                    *probed = *fed;
-                    if let Some(label) = Self::probe_anytime(
-                        &am.confidence,
-                        any.threshold,
-                        &mut self.anytime_compiled,
-                        features,
-                        *fed,
-                        last_probe,
-                        &mut self.feature_scratch,
-                        &mut self.counts_scratch,
-                        &mut self.means_scratch,
-                    ) {
-                        self.classify_early(id, now, label);
-                        return Verdict::Classified(label);
+                    if let Some(skip) = skip {
+                        let staged = std::mem::take(staging);
+                        let mut stream = self.pool.stream(&self.extractor, b, skip);
+                        stream.feed(&staged, b);
+                        buf.stage = FlowStage::Streaming(stream);
                     }
                 }
+                FlowStage::Streaming(stream) => stream.feed(intake, b),
             }
-        }
-        Verdict::Buffering
-    }
+            self.resident = self.resident - before + buf.resident_bytes();
 
-    /// Discards `skip_remaining` leading bytes of `chunk`, then feeds
-    /// up to the remaining classification window into the feature state.
-    fn feed_streaming(
-        features: &mut FlowFeatureState,
-        fed: &mut usize,
-        skip_remaining: &mut usize,
-        mut chunk: &[u8],
-        b: usize,
-    ) {
-        if *skip_remaining > 0 {
-            let skipped = (*skip_remaining).min(chunk.len());
-            *skip_remaining -= skipped;
-            // lint: allow(L008) — skipped <= chunk.len() by the min() above
-            chunk = &chunk[skipped..];
-        }
-        let take = b.saturating_sub(*fed).min(chunk.len());
-        if take > 0 {
-            // lint: allow(L008) — take <= chunk.len() by the min() above
-            features.update(&chunk[..take]);
-            *fed += take;
+            // Full at `b` window bytes. A resolved header longer than
+            // the allowance can leave fewer than `b` window bytes in the
+            // first `capacity` payload bytes; `seen >= capacity`
+            // classifies those flows (and still-staging ones) from what
+            // fits.
+            if buf.seen >= capacity || matches!(&buf.stage, FlowStage::Streaming(s) if s.fed >= b) {
+                let verdict =
+                    self.classify_flow(flow, t, None).map_or(Verdict::Ignored, Verdict::Classified);
+                // lint: allow(L009) — within the capacity reserved by process_batch
+                verdicts.push(verdict);
+                return joined;
+            }
+            // Anytime probe: a confident partial vector classifies the
+            // flow now instead of waiting for the full-`b` cap above.
+            if let (Some(any), Some(model), FlowStage::Streaming(stream)) =
+                (&self.config.anytime, &self.anytime_model, &mut buf.stage)
+            {
+                let confidence = &model.confidence;
+                let stages = &mut self.anytime_compiled;
+                if let Some(label) =
+                    Self::probe_anytime(any, confidence, stages, stream, &mut self.scratch)
+                {
+                    self.classify_flow(flow, t, Some(label));
+                    // lint: allow(L009) — within the capacity reserved by process_batch
+                    verdicts.push(Verdict::Classified(label));
+                    return joined;
+                }
+            }
+            // lint: allow(L009) — within the capacity reserved by process_batch
+            verdicts.push(Verdict::Buffering);
+            match tail.get(joined) {
+                Some(next) if joins(next, flow, last_sweep, idle_timeout) => {
+                    packet = next.packet;
+                    joined += 1;
+                }
+                _ => return joined,
+            }
         }
     }
 
     /// Classifies-or-drops every flow idle longer than the configured
     /// timeout. Called opportunistically by
-    /// [`process_packet`](Self::process_packet) and available publicly
+    /// [`process_batch`](Self::process_batch) and available publicly
     /// as the serve layer's drain barrier. Returns the number of flows
     /// evicted (a flow whose effective payload is empty is dropped
     /// without a verdict but still counts).
@@ -1063,24 +853,31 @@ impl Iustitia {
         idle.sort_unstable();
         let n = idle.len();
         for id in idle {
-            self.classify_flow(id, now);
+            self.classify_flow(id, now, None);
         }
         n
     }
 
-    /// Alias of [`sweep_idle`](Self::sweep_idle), kept for callers of
-    /// the pre-sweep API.
-    pub fn flush_idle(&mut self, now: f64) -> usize {
-        self.sweep_idle(now)
-    }
-
-    /// Classifies and evicts one buffered flow (used by full-buffer,
-    /// idle, and close paths).
-    fn classify_flow(&mut self, id: FlowId, now: f64) -> Option<FileClass> {
+    /// Evicts one buffered flow and records its verdict (used by the
+    /// full-buffer, idle, close, and anytime paths). An anytime probe
+    /// passes the `early` label it already predicted from the partial
+    /// vector; otherwise the flow's vector is finished and predicted
+    /// here. A flow with no classification-window bytes is dropped
+    /// without a verdict.
+    fn classify_flow(
+        &mut self,
+        id: FlowId,
+        now: f64,
+        early: Option<FileClass>,
+    ) -> Option<FileClass> {
         // lint: allow(L008) — HashMap::remove never panics (the KB is conservative for Vec::remove)
         let buf = self.buffers.remove(&id)?;
         self.resident -= buf.resident_bytes();
-        match buf.stage {
+        // A model trained on a different feature width than the
+        // pipeline extracts cannot render a verdict; such flows are
+        // left unclassified (the CDB miss path treats them as
+        // Ignored) rather than taking the hot path down with a panic.
+        let label = match buf.stage {
             // Header decision never resolved (StripKnown flow evicted
             // while staging): classify one-shot from the staged prefix,
             // exactly like the historical buffer-then-compute path.
@@ -1090,84 +887,41 @@ impl Iustitia {
                     return None;
                 }
                 let vector = self.extractor.extract(payload);
-                self.feature_scratch.clear();
+                self.scratch.features.clear();
                 // lint: allow(L006, L009) — finished f64 features (one per width) into reused scratch, not payload
-                self.feature_scratch.extend_from_slice(&vector);
+                self.scratch.features.extend_from_slice(&vector);
+                self.compiled.try_predict(&self.scratch.features).ok()
             }
-            FlowStage::Streaming { features, fed, .. } => {
-                if fed == 0 {
-                    // All observed bytes were header/skip: nothing to
-                    // classify on, as in the old empty-payload path —
-                    // but the state still returns to the pool.
-                    self.recycle_state(features);
-                    return None;
-                }
-                features.finish_into(&mut self.feature_scratch, &mut self.counts_scratch);
-                self.recycle_state(features);
+            FlowStage::Streaming(stream) => {
+                // `fed == 0`: all observed bytes were header/skip,
+                // nothing to classify on — but the state still returns
+                // to the pool.
+                let label = early.or_else(|| {
+                    (stream.fed > 0).then(|| {
+                        let scratch = &mut self.scratch;
+                        stream.features.finish_into(&mut scratch.features, &mut scratch.counts);
+                        self.compiled.try_predict(&scratch.features).ok()
+                    })?
+                });
+                self.pool.recycle(stream.features);
+                label
             }
-        }
-        // A model trained on a different feature width than the
-        // pipeline extracts cannot render a verdict; such flows are
-        // left unclassified (the CDB miss path treats them as
-        // Ignored) rather than taking the hot path down with a panic.
-        let label = match self.compiled.try_predict(&self.feature_scratch) {
-            Ok(label) => label,
-            Err(_) => return None,
-        };
-        self.commit_verdict(
-            ClassifiedFlow {
-                id,
-                label,
-                packets: buf.packets,
-                fill_time: buf.last_ts - buf.first_ts,
-                buffered_bytes: buf.seen,
-                early_exit: false,
-            },
-            now,
-        );
-        Some(label)
-    }
-
-    /// Evicts one buffering flow with a probe-rendered verdict — the
-    /// anytime analogue of [`classify_flow`](Self::classify_flow). The
-    /// label was already predicted from the partial vector, so only
-    /// eviction and bookkeeping remain.
-    fn classify_early(&mut self, id: FlowId, now: f64, label: FileClass) {
-        // Callers only probe flows they hold a live buffer for, but the
-        // defensive miss path keeps this total.
-        // lint: allow(L008) — HashMap::remove returns Option; the None arm returns
-        let buf = match self.buffers.remove(&id) {
-            Some(buf) => buf,
-            None => return,
-        };
-        self.resident -= buf.resident_bytes();
-        if let FlowStage::Streaming { features, .. } = buf.stage {
-            self.recycle_state(features);
-        }
-        self.commit_verdict(
-            ClassifiedFlow {
-                id,
-                label,
-                packets: buf.packets,
-                fill_time: buf.last_ts - buf.first_ts,
-                buffered_bytes: buf.seen,
-                early_exit: true,
-            },
-            now,
-        );
-    }
-
-    /// Records a rendered verdict: CDB insert, queue accounting, early
-    /// exit counting, log entry (the shared tail of the full-buffer and
-    /// anytime-early paths).
-    fn commit_verdict(&mut self, flow: ClassifiedFlow, now: f64) {
-        self.cdb.insert(flow.id, flow.label, now);
+        }?;
+        self.cdb.insert(id, label, now);
         // lint: allow(L008) — forwarded has FileClass::ALL.len() slots; label.index() is always in range
-        self.queues.forwarded[flow.label.index()] += flow.packets as u64;
-        if flow.early_exit {
+        self.queues.forwarded[label.index()] += u64::from(buf.packets);
+        if early.is_some() {
             self.early_exits += 1;
         }
-        self.log.push(flow);
+        self.log.push(ClassifiedFlow {
+            id,
+            label,
+            packets: buf.packets,
+            fill_time: buf.last_ts - buf.first_ts,
+            buffered_bytes: buf.seen,
+            early_exit: early.is_some(),
+        });
+        Some(label)
     }
 
     /// Applies the header policy to a still-staged prefix, yielding the
@@ -1321,8 +1075,8 @@ mod tests {
     fn idle_flush_classifies_stalled_flows() {
         let mut ius = Iustitia::new(toy_model(), PipelineConfig::headline(6));
         ius.process_packet(&data_packet(1, 0.0, &text_payload(8)));
-        assert_eq!(ius.flush_idle(1.0), 0, "not idle long enough");
-        assert_eq!(ius.flush_idle(10.0), 1);
+        assert_eq!(ius.sweep_idle(1.0), 0, "not idle long enough");
+        assert_eq!(ius.sweep_idle(10.0), 1);
         assert_eq!(ius.pending_flows(), 0);
         assert_eq!(ius.take_log().len(), 1);
     }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use iustitia::features::{FeatureMode, TrainingMethod};
 use iustitia::model::{train_anytime_from_corpus, train_from_corpus_battery, ModelKind};
-use iustitia::pipeline::{AnytimeConfig, Iustitia, PipelineConfig, Verdict};
+use iustitia::pipeline::{AnytimeConfig, BatchPacket, Iustitia, PipelineConfig, Verdict};
 use iustitia_entropy::FeatureWidths;
 use iustitia_netsim::{FiveTuple, Packet, TcpFlags};
 use std::net::Ipv4Addr;
@@ -158,7 +158,8 @@ fn recycled_flow_packets_allocate_nothing_through_classification() {
     config.buffer_size = 2048;
     config.battery = true;
     config.anytime = Some(AnytimeConfig::calibrated(&anytime.confidence));
-    let mut pipeline = Iustitia::new(report.model.clone(), config).with_anytime(anytime);
+    let mut pipeline =
+        Iustitia::new(report.model.clone(), config.clone()).with_anytime(anytime.clone());
 
     // Drives one flow to its verdict, returning how many packets it took.
     fn classify(pipeline: &mut Iustitia, port: u16, t0: f64, payload: &[u8]) -> usize {
@@ -205,5 +206,55 @@ fn recycled_flow_packets_allocate_nothing_through_classification() {
         during, 0,
         "a recycled flow probed to an early verdict must not allocate \
          (saw {during} allocator calls across {packets_used} packets)"
+    );
+
+    // ── Multi-flow batch phase ───────────────────────────────────────
+    // The amortized run phases must hold the guarantee too. One
+    // steady-state `process_batch` segment carries three same-flow
+    // runs back to back: CDB hits on a classified flow, a flow whose
+    // second packet fills the 2048-byte window (its first probe only
+    // arms the patience rule), and a flow that a probe classifies early.
+    let mut pipeline = Iustitia::new(report.model.clone(), config).with_anytime(anytime);
+    let hit_flow: Vec<Packet> =
+        (0..4).map(|seq| data_packet(200, 300.0 + seq as f64 * 0.001, &payload)).collect();
+    for packet in &hit_flow {
+        pipeline.process_packet(packet);
+    }
+    let window_head: Vec<u8> = payload.iter().copied().cycle().take(1536).collect();
+    let segment = |port: u16, t: f64| -> Vec<Packet> {
+        let mut packets: Vec<Packet> = (0..3).map(|_| data_packet(200, t, &payload)).collect();
+        packets.push(data_packet(port, t, &window_head));
+        packets.push(data_packet(port, t + 0.001, &payload));
+        packets.extend((0..4).map(|seq| data_packet(port + 1, t + seq as f64 * 0.001, &payload)));
+        packets
+    };
+    // Warm-up: five segments of the same shape grow the verdict
+    // buffer, classification log (11 entries, cap 16) and CDB (11
+    // records, cap 14) to sizes the measured segment's two verdicts fit
+    // into.
+    let mut verdicts = Vec::new();
+    for k in 0..5u16 {
+        let packets = segment(300 + 2 * k, 300.1 + f64::from(k) * 0.01);
+        let items: Vec<BatchPacket<'_>> = packets.iter().map(BatchPacket::new).collect();
+        pipeline.process_batch(&items, &mut verdicts);
+    }
+    let exits_before = pipeline.early_exit_verdicts();
+    let packets = segment(400, 301.0);
+    let items: Vec<BatchPacket<'_>> = packets.iter().map(BatchPacket::new).collect();
+    let before = alloc_calls();
+    pipeline.process_batch(&items, &mut verdicts);
+    let during = alloc_calls() - before;
+    assert!(verdicts[..3].iter().all(|v| matches!(v, Verdict::Hit(_))), "{verdicts:?}");
+    assert_eq!(verdicts[3], Verdict::Buffering, "{verdicts:?}");
+    assert!(matches!(verdicts[4], Verdict::Classified(_)), "{verdicts:?}");
+    assert_eq!(pipeline.early_exit_verdicts(), exits_before + 1, "one probe verdict");
+    let log = pipeline.take_log();
+    let [.., at_b, early] = &log[..] else { panic!("two verdicts expected, got {log:?}") };
+    assert!(!at_b.early_exit && at_b.buffered_bytes == 2048, "{at_b:?}");
+    assert!(early.early_exit && early.buffered_bytes < 2048, "{early:?}");
+    assert_eq!(
+        during, 0,
+        "a steady-state multi-flow segment (hit run, full-window run, early-exit \
+         run) must not allocate (saw {during} allocator calls)"
     );
 }

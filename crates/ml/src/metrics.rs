@@ -41,7 +41,9 @@ impl ConfusionMatrix {
     ///
     /// Panics if either index is out of range.
     pub fn record(&mut self, actual: usize, predicted: usize) {
+        // lint: allow(L008) — evaluation-time API with a documented panic contract; chain is .record() name fan-out
         assert!(actual < self.n_classes && predicted < self.n_classes, "class index out of range");
+        // lint: allow(L008) — both indices checked by the assert above; chain is .record() name fan-out
         self.counts[actual][predicted] += 1;
     }
 

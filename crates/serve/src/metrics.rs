@@ -66,6 +66,7 @@ impl LatencyHistogram {
     /// Records one sample of `nanos` nanoseconds.
     pub fn record(&self, nanos: u64) {
         let idx = nanos.checked_ilog2().unwrap_or(0) as usize;
+        // lint: allow(L008) — ilog2 of a u64 is at most 63 < BUCKETS
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -239,6 +240,7 @@ impl ServeMetrics {
 
     /// Records a stage latency sample.
     pub fn record(&self, stage: Stage, nanos: u64) {
+        // lint: allow(L008) — stages has one slot per Stage variant
         self.stages[stage as usize].record(nanos);
     }
 

@@ -14,14 +14,16 @@
 //! A single [`Reactor`] thread owns every socket: it accepts
 //! connections, reassembles frames from nonblocking reads, computes
 //! flow IDs, and batches packets per shard. Flow-affine work is routed
-//! by [`shard_index`](iustitia::concurrent::shard_index) — the same
-//! partitioning as the offline
-//! [`ShardedIustitia`](iustitia::concurrent::ShardedIustitia) fleet —
-//! to one of `N` *shard workers*, each owning an independent
-//! [`Iustitia`] pipeline and CDB, so no classification state is ever
-//! shared and the packet path takes no locks beyond its own shard
-//! queue. Workers push responses into the reactor's outbox and wake
-//! its eventfd; the reactor serializes them onto the owning socket.
+//! by [`shard_index`](iustitia::concurrent::shard_index) to one of `N`
+//! *shard workers*, each owning an independent [`Iustitia`] pipeline
+//! and CDB, so no classification state is ever shared and the packet
+//! path takes no locks beyond its own shard queue. A worker sorts each
+//! drained segment of packets by flow, classifies it with one
+//! [`Iustitia::process_batch`] call, and routes every verdict to the
+//! connection that submitted the flow: a flow holds a route exactly
+//! while it is pending in the pipeline. Workers push responses into the
+//! reactor's outbox and wake its eventfd; the reactor serializes them
+//! onto the owning socket.
 //!
 //! Backpressure is per shard: bounded ingress queues with a
 //! configurable [`AdmissionPolicy`]. The reactor batches every frame
@@ -47,10 +49,10 @@ use std::time::Instant;
 use iustitia::cdb::FlowId;
 use iustitia::model::AnytimeModel;
 use iustitia::model::NatureModel;
-use iustitia::pipeline::{BatchPacket, ClassifiedFlow, Iustitia, PipelineConfig, Verdict};
+use iustitia::pipeline::{BatchPacket, Iustitia, PipelineConfig, Verdict};
 use iustitia_netsim::{FiveTuple, Packet};
 
-use crate::metrics::{ServeMetrics, Stage};
+use crate::metrics::{ServeMetrics, ShardGauges, Stage};
 use crate::proto::{FlowVerdict, Response};
 use crate::queue::{AdmissionPolicy, BoundedQueue};
 use crate::reactor::{FanInGate, Outbox, Reactor, ReplySink};
@@ -323,326 +325,257 @@ impl Drop for Server {
 struct PacketJob {
     packet: Packet,
     flow: FlowId,
+    /// Arrival position within the segment: the tie-break that keeps
+    /// the in-place sort by flow ID stable.
+    seq: usize,
     conn_id: u64,
     reply: ReplySink,
 }
 
-/// One shard worker: owns an [`Iustitia`] pipeline (with its own CDB)
-/// and processes its queue until the server shuts down, then drains.
+/// One shard's classification state: an [`Iustitia`] pipeline (with its
+/// own CDB), the verdict routes of its pending flows, and scratch
+/// reused across segments.
+struct Shard {
+    pipeline: Iustitia,
+    /// Where each flow's verdict goes. A flow holds a route exactly
+    /// while it is pending in the pipeline.
+    routes: HashMap<FlowId, Route>,
+    /// Latest packet timestamp seen; the drain sweep runs past it.
+    last_t: f64,
+    /// Packet jobs of the current segment.
+    segment: Vec<PacketJob>,
+    /// The allocation behind each segment's batch view, kept empty
+    /// between segments.
+    items: Vec<BatchPacket<'static>>,
+    verdicts: Vec<Verdict>,
+}
+
+/// One shard worker: owns a [`Shard`] and processes its queue until the
+/// server shuts down, then drains.
 ///
 /// Each condvar wakeup drains the whole backlog with a single
 /// [`BoundedQueue::pop_all`]. Contiguous stretches of packet jobs form
-/// a *segment*; control jobs (drain barriers, disconnects) flush the
+/// a *segment*; control jobs (drain barriers, disconnects) dispatch the
 /// pending segment first, so their ordering guarantees are unchanged.
-/// Segments are grouped by flow ID and dispatched through
-/// [`Iustitia::process_batch`], which resolves each flow's pipeline
-/// state once per same-flow run instead of once per packet.
 fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     let mut config = shared.config.pipeline.clone();
-    // Decorrelate per-shard RNG streams, as the offline fleet does.
+    // Decorrelate per-shard RNG streams.
     config.seed = config.seed.wrapping_add(shard as u64);
-    let idle_timeout = config.idle_timeout;
     let mut pipeline = Iustitia::new((*shared.model).clone(), config);
     if let Some(anytime) = &shared.config.anytime {
         pipeline = pipeline.with_anytime(anytime.clone());
     }
-    let mut routes: HashMap<FlowId, Route> = HashMap::new();
-    let mut last_t = 0.0f64;
-    // Reused across segments: pending packet jobs and verdict scratch.
-    let mut segment: Vec<PacketJob> = Vec::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut state = Shard {
+        pipeline,
+        routes: HashMap::new(),
+        last_t: 0.0,
+        segment: Vec::new(),
+        items: Vec::new(),
+        verdicts: Vec::new(),
+    };
+    let gauges = &shared.metrics.shards[shard];
 
     while let Some(batch) = shared.queues[shard].pop_all() {
         for job in batch {
             match job {
                 Job::Packet { packet, flow, conn_id, reply } => {
-                    segment.push(PacketJob { packet, flow, conn_id, reply });
+                    let seq = state.segment.len();
+                    state.segment.push(PacketJob { packet, flow, seq, conn_id, reply });
                 }
                 Job::Drain { conn_id, gate } => {
                     // Barrier: everything submitted before the drain is
                     // dispatched before the sweep.
-                    process_segment(
-                        &mut pipeline,
-                        &mut routes,
-                        shared,
-                        &mut last_t,
-                        &mut segment,
-                        &mut verdicts,
-                    );
-                    pipeline.sweep_idle(last_t + idle_timeout + 1.0);
-                    let flushed = emit_verdicts(&mut pipeline, &mut routes, shared, Some(conn_id));
+                    state.dispatch_segment(shared);
+                    let flushed = state.sweep_all(shared, Some(conn_id));
                     // Refresh gauges before acking so a Stats request
                     // issued right after the drain sees the swept state.
-                    shared.metrics.shards[shard].set(
-                        pipeline.pending_flows() as u64,
-                        pipeline.resident_feature_bytes() as u64,
-                        pipeline.state_pool_hits(),
-                        pipeline.state_pool_size() as u64,
-                        pipeline.early_exit_verdicts(),
-                    );
+                    state.publish(gauges);
                     gate.ack(flushed);
                 }
                 Job::Disconnect { conn_id, gate } => {
-                    // Flush first: packets this connection submitted
+                    // Dispatch first: packets this connection submitted
                     // before going away still get processed, and their
                     // routes must exist to be forgotten here.
-                    process_segment(
-                        &mut pipeline,
-                        &mut routes,
-                        shared,
-                        &mut last_t,
-                        &mut segment,
-                        &mut verdicts,
-                    );
-                    routes.retain(|_, route| route.conn_id != conn_id);
+                    state.dispatch_segment(shared);
+                    state.routes.retain(|_, route| route.conn_id != conn_id);
                     gate.ack(0);
                 }
             }
         }
-        process_segment(
-            &mut pipeline,
-            &mut routes,
-            shared,
-            &mut last_t,
-            &mut segment,
-            &mut verdicts,
-        );
+        state.dispatch_segment(shared);
         // Refresh this shard's gauges once per drained batch: cheap
         // (a few relaxed stores) and fresh enough for a Stats poll.
-        shared.metrics.shards[shard].set(
-            pipeline.pending_flows() as u64,
-            pipeline.resident_feature_bytes() as u64,
-            pipeline.state_pool_hits(),
-            pipeline.state_pool_size() as u64,
-            pipeline.early_exit_verdicts(),
-        );
+        state.publish(gauges);
     }
 
     // Queue closed: graceful shutdown. Classify every in-flight flow
     // from the bytes it has buffered and emit final verdicts.
-    pipeline.sweep_idle(last_t + idle_timeout + 1.0);
-    emit_verdicts(&mut pipeline, &mut routes, shared, None);
-    shared.metrics.shards[shard].set(
-        0,
-        0,
-        pipeline.state_pool_hits(),
-        pipeline.state_pool_size() as u64,
-        pipeline.early_exit_verdicts(),
-    );
+    state.sweep_all(shared, None);
+    state.publish(gauges);
 }
 
-/// Dispatches one segment (a contiguous stretch of packet jobs from a
-/// drained batch) through the pipeline's batch path.
-///
-/// The segment is stable-sorted by flow ID: same-flow packets become
-/// adjacent while each flow keeps its arrival order, so
-/// [`Iustitia::process_batch`] resolves every flow's state once per
-/// run. Cross-flow order within one drained segment is a scheduling
-/// detail — concurrent connections already interleave arbitrarily in
-/// the queue — and the batch path is bit-identical to per-packet
-/// dispatch on whatever order is chosen.
-fn process_segment(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    last_t: &mut f64,
-    segment: &mut Vec<PacketJob>,
-    verdicts: &mut Vec<Verdict>,
-) {
-    if segment.is_empty() {
-        return;
-    }
-    for job in segment.iter() {
-        if job.packet.timestamp > *last_t {
-            *last_t = job.packet.timestamp;
+impl Shard {
+    /// Dispatches the pending segment through one
+    /// [`Iustitia::process_batch`] call, then delivers its verdicts.
+    ///
+    /// The segment is sorted by flow ID, each flow keeping its arrival
+    /// order, so `process_batch` resolves every flow's state once per
+    /// run. Cross-flow order within one drained segment is a scheduling
+    /// detail — concurrent connections already interleave arbitrarily
+    /// in the queue.
+    ///
+    /// Verdicts follow one rule: a flow holds a route exactly while it
+    /// is pending. Log entries are delivered in log order through the
+    /// flow's route; when that route was already used (or the flow got
+    /// its verdict within this segment) the entry goes to the flow's
+    /// job in the sorted segment. Afterwards each of the segment's
+    /// flows keeps or gains a route iff the pipeline still has it
+    /// pending.
+    fn dispatch_segment(&mut self, shared: &Shared) {
+        if self.segment.is_empty() {
+            return;
         }
-    }
-    let mut order: Vec<usize> = (0..segment.len()).collect();
-    order.sort_by(|&a, &b| segment[a].flow.cmp(&segment[b].flow));
-    let grouped: Vec<&PacketJob> = order.iter().map(|&i| &segment[i]).collect();
-    let flows =
-        grouped.iter().zip(grouped.iter().skip(1)).filter(|(a, b)| a.flow != b.flow).count() + 1;
-    shared.metrics.batch_size.record(grouped.len() as u64);
-    shared.metrics.flows_per_batch.record(flows as u64);
+        self.segment.sort_unstable_by(|a, b| a.flow.cmp(&b.flow).then(a.seq.cmp(&b.seq)));
+        let mut items = reuse(std::mem::take(&mut self.items));
+        // lint: allow(L009) — fills the allocation reused across segments; grows only to the largest segment seen
+        items.extend(self.segment.iter().map(|j| BatchPacket { flow: j.flow, packet: &j.packet }));
+        let t0 = Instant::now();
+        self.pipeline.process_batch(&items, &mut self.verdicts);
+        // Attribute the mean per-packet cost to the stage that
+        // terminated each packet.
+        let per_packet = t0.elapsed().as_nanos() as u64 / items.len().max(1) as u64;
+        self.items = reuse(items);
 
-    // Split the grouped segment the same way process_batch does: runs
-    // of same-flow data packets go through the batch path; closes and
-    // non-data packets are dispatched singly with the original
-    // per-packet bookkeeping (they can tear down flow state, which
-    // interacts with verdict routing).
-    let mut rest: &[&PacketJob] = &grouped;
-    while let Some((first, tail)) = rest.split_first() {
-        if !first.packet.is_data() || first.packet.flags.closes_flow() {
-            process_single(pipeline, routes, shared, first);
-            rest = tail;
-            continue;
-        }
-        let run_len = 1 + tail
-            .iter()
-            .take_while(|j| {
-                j.flow == first.flow && j.packet.is_data() && !j.packet.flags.closes_flow()
-            })
-            .count();
-        let (run, remainder) = rest.split_at(run_len);
-        process_flow_run(pipeline, routes, shared, run, verdicts);
-        rest = remainder;
-    }
-    segment.clear();
-}
-
-/// Dispatches one packet with the original per-packet bookkeeping
-/// (route insertion, stage attribution, verdict emission, route
-/// teardown on close).
-fn process_single(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    job: &PacketJob,
-) {
-    if job.packet.is_data() {
-        routes.entry(job.flow).or_insert_with(|| Route {
-            tuple: job.packet.tuple,
-            conn_id: job.conn_id,
-            reply: job.reply.clone(),
-        });
-    }
-    let closes = job.packet.flags.closes_flow();
-    let t0 = Instant::now();
-    let verdict = pipeline.process_packet(&job.packet);
-    let nanos = t0.elapsed().as_nanos() as u64;
-    match verdict {
-        Verdict::Hit(_) => {
-            shared.metrics.record(Stage::CdbLookup, nanos);
-            ServeMetrics::add(&shared.metrics.hits, 1);
-            // Flow already classified; no verdict owed.
-            routes.remove(&job.flow);
-        }
-        Verdict::Buffering => {
-            shared.metrics.record(Stage::BufferFill, nanos);
-        }
-        Verdict::Classified(_) => {
-            shared.metrics.record(Stage::Classify, nanos);
-        }
-        Verdict::Ignored => {}
-    }
-    emit_verdicts(pipeline, routes, shared, None);
-    if closes {
-        // Flow state is gone (partial leftovers were classified and
-        // emitted above, if any).
-        routes.remove(&job.flow);
-    }
-}
-
-/// Dispatches a run of same-flow data packets through
-/// [`Iustitia::process_batch`], then replays the per-packet route
-/// bookkeeping against the returned verdicts.
-///
-/// Log entries for *other* flows (opportunistic idle sweeps firing
-/// mid-run) are delivered up front: their routes are untouched while
-/// this run executes, so the route each would have seen under
-/// per-packet dispatch is the route it sees here. Entries for the
-/// run's own flow are delivered positionally at its `Classified`
-/// verdicts, which is where per-packet dispatch would have emitted
-/// them relative to the route insert/remove sequence.
-fn process_flow_run(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    run: &[&PacketJob],
-    verdicts: &mut Vec<Verdict>,
-) {
-    let flow = run[0].flow;
-    let items: Vec<BatchPacket<'_>> =
-        run.iter().map(|j| BatchPacket { flow: j.flow, packet: &j.packet }).collect();
-    let t0 = Instant::now();
-    pipeline.process_batch(&items, verdicts);
-    let nanos = t0.elapsed().as_nanos() as u64;
-    // Attribute the mean per-packet cost to the stage that terminated
-    // each packet, mirroring the per-packet path's accounting.
-    let per_packet = nanos / items.len() as u64;
-
-    let log = pipeline.take_log();
-    if !log.is_empty() {
-        ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
-    }
-    let mut own: Vec<ClassifiedFlow> = Vec::new();
-    for entry in log {
-        shared.metrics.bytes_at_verdict.record(entry.buffered_bytes as u64);
-        if entry.id == flow {
-            own.push(entry);
-        } else {
-            deliver(routes, &entry);
-        }
-    }
-    let mut own = own.into_iter();
-
-    for (job, verdict) in run.iter().zip(verdicts.iter()) {
-        if job.packet.is_data() && !routes.contains_key(&flow) {
-            routes.insert(
-                flow,
-                Route { tuple: job.packet.tuple, conn_id: job.conn_id, reply: job.reply.clone() },
-            );
-        }
-        match verdict {
-            Verdict::Hit(_) => {
-                shared.metrics.record(Stage::CdbLookup, per_packet);
-                ServeMetrics::add(&shared.metrics.hits, 1);
-                routes.remove(&flow);
-            }
-            Verdict::Buffering => shared.metrics.record(Stage::BufferFill, per_packet),
-            Verdict::Classified(_) => {
-                shared.metrics.record(Stage::Classify, per_packet);
-                if let Some(entry) = own.next() {
-                    deliver(routes, &entry);
+        let mut hits = 0;
+        for verdict in &self.verdicts {
+            match verdict {
+                Verdict::Hit(_) => {
+                    shared.metrics.record(Stage::CdbLookup, per_packet);
+                    hits += 1;
                 }
+                Verdict::Buffering => shared.metrics.record(Stage::BufferFill, per_packet),
+                Verdict::Classified(_) => shared.metrics.record(Stage::Classify, per_packet),
+                Verdict::Ignored => {}
             }
-            Verdict::Ignored => {}
         }
+        ServeMetrics::add(&shared.metrics.hits, hits);
+        self.deliver_log(shared, None);
+
+        let mut flows = 0;
+        let mut prev = None;
+        for job in &self.segment {
+            self.last_t = self.last_t.max(job.packet.timestamp);
+            if prev == Some(job.flow) {
+                continue;
+            }
+            prev = Some(job.flow);
+            flows += 1;
+            if self.pipeline.is_pending(&job.flow) {
+                self.routes.entry(job.flow).or_insert_with(|| Route {
+                    tuple: job.packet.tuple,
+                    conn_id: job.conn_id,
+                    reply: job.reply.clone(),
+                });
+            } else {
+                // lint: allow(L008) — HashMap::remove never panics (the KB is conservative for Vec::remove)
+                self.routes.remove(&job.flow);
+            }
+        }
+        shared.metrics.batch_size.record(self.segment.len() as u64);
+        shared.metrics.flows_per_batch.record(flows);
+        self.segment.clear();
     }
-    // A flow swept idle mid-run (evicted by its own sweep-due packet,
-    // then re-buffered) logs an extra entry with no Classified verdict;
-    // deliver any such leftovers to the flow's current route.
-    for entry in own {
-        deliver(routes, &entry);
+
+    /// Delivers every newly logged classification, in log order, and
+    /// returns how many went to `count_conn`.
+    fn deliver_log(&mut self, shared: &Shared, count_conn: Option<u64>) -> u32 {
+        let log = self.pipeline.take_log();
+        if log.is_empty() {
+            return 0;
+        }
+        ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
+        let mut counted = 0;
+        for entry in &log {
+            shared.metrics.bytes_at_verdict.record(entry.buffered_bytes as u64);
+            // lint: allow(L008) — HashMap::remove never panics (the KB is conservative for Vec::remove)
+            let (tuple, conn_id, reply) = match self.routes.remove(&entry.id) {
+                Some(route) => (route.tuple, route.conn_id, route.reply),
+                None => {
+                    // lint: allow(L008) — a binary search over the sorted segment; it never panics
+                    let at = self.segment.partition_point(|j| j.flow < entry.id);
+                    match self.segment.get(at).filter(|j| j.flow == entry.id) {
+                        Some(job) => (job.packet.tuple, job.conn_id, job.reply.clone()),
+                        None => continue,
+                    }
+                }
+            };
+            if count_conn == Some(conn_id) {
+                counted += 1;
+            }
+            reply.send(Response::FlowVerdict(FlowVerdict {
+                tuple,
+                label: entry.label,
+                packets: entry.packets,
+                buffered_bytes: entry.buffered_bytes as u32,
+                fill_time: entry.fill_time,
+            }));
+        }
+        counted
+    }
+
+    /// Classifies every in-flight flow from the bytes it has buffered
+    /// (the drain and shutdown barrier) and delivers the verdicts;
+    /// returns how many went to `count_conn`.
+    fn sweep_all(&mut self, shared: &Shared, count_conn: Option<u64>) -> u32 {
+        let idle_timeout = self.pipeline.config().idle_timeout;
+        self.pipeline.sweep_idle(self.last_t + idle_timeout + 1.0);
+        let counted = self.deliver_log(shared, count_conn);
+        // Flows the sweep dropped without a verdict release their
+        // routes too.
+        let pipeline = &self.pipeline;
+        self.routes.retain(|flow, _| pipeline.is_pending(flow));
+        counted
+    }
+
+    /// Publishes this shard's pipeline gauges.
+    fn publish(&self, gauges: &ShardGauges) {
+        let p = &self.pipeline;
+        gauges.set(
+            p.pending_flows() as u64,
+            p.resident_feature_bytes() as u64,
+            p.state_pool_hits(),
+            p.state_pool_size() as u64,
+            p.early_exit_verdicts(),
+        );
     }
 }
 
-/// Sends one classification to the connection that owns the flow,
-/// consuming its route (each route delivers exactly one verdict).
-fn deliver(routes: &mut HashMap<FlowId, Route>, flow: &ClassifiedFlow) {
-    if let Some(route) = routes.remove(&flow.id) {
-        route.reply.send(Response::FlowVerdict(FlowVerdict {
-            tuple: route.tuple,
-            label: flow.label,
-            packets: flow.packets,
-            buffered_bytes: flow.buffered_bytes as u32,
-            fill_time: flow.fill_time,
-        }));
-    }
+/// Empties `items` and retypes it for batch views of another lifetime,
+/// keeping its allocation (an in-place collect reuses the buffer).
+fn reuse<'a>(mut items: Vec<BatchPacket<'_>>) -> Vec<BatchPacket<'a>> {
+    items.clear();
+    // lint: allow(L008) — an adaptor over an empty Vec; the closure never runs
+    items.into_iter().map_while(|_| None).collect()
 }
 
-/// Delivers every newly logged classification to the connection that
-/// owns the flow. Returns how many belonged to `count_conn`.
-fn emit_verdicts(
-    pipeline: &mut Iustitia,
-    routes: &mut HashMap<FlowId, Route>,
-    shared: &Arc<Shared>,
-    count_conn: Option<u64>,
-) -> u32 {
-    let log = pipeline.take_log();
-    if log.is_empty() {
-        return 0;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reuse_keeps_the_allocation() {
+        let packet = Packet {
+            timestamp: 0.0,
+            tuple: FiveTuple::tcp([10, 0, 0, 1].into(), 1, [10, 0, 0, 2].into(), 2),
+            flags: iustitia_netsim::TcpFlags::ACK,
+            payload: vec![1],
+        };
+        let mut items = Vec::with_capacity(64);
+        items.push(BatchPacket::new(&packet));
+        let buffer = items.as_ptr() as usize;
+        let reused: Vec<BatchPacket<'static>> = reuse(items);
+        assert!(reused.is_empty());
+        assert_eq!(reused.capacity(), 64);
+        assert_eq!(reused.as_ptr() as usize, buffer);
     }
-    let mut matched = 0u32;
-    ServeMetrics::add(&shared.metrics.flows_classified, log.len() as u64);
-    for flow in log {
-        shared.metrics.bytes_at_verdict.record(flow.buffered_bytes as u64);
-        if let Some(route) = routes.get(&flow.id) {
-            if count_conn == Some(route.conn_id) {
-                matched += 1;
-            }
-        }
-        deliver(routes, &flow);
-    }
-    matched
 }

@@ -593,3 +593,75 @@ fn udp_flow_classifies_on_full_buffer() {
     client.close().unwrap();
     server.shutdown();
 }
+
+/// Submits `packets` (all of one flow) in one batch, drains, and
+/// returns the drain count plus the `(packets, buffered_bytes)` of
+/// every verdict the connection received, in arrival order.
+fn episodes_after_drain(config: ServerConfig, packets: &[Packet]) -> (u32, Vec<(u32, u32)>) {
+    let server = Server::start("127.0.0.1:0", trained_model(), config).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for packet in packets {
+        client.submit_packet(packet).unwrap();
+    }
+    let flushed = client.drain().unwrap();
+    let verdicts = client
+        .poll_events()
+        .into_iter()
+        .map(|event| match event {
+            ClientEvent::Verdict(v) => {
+                assert_eq!(v.tuple, packets[0].tuple);
+                (v.packets, v.buffered_bytes)
+            }
+            other => panic!("expected only verdicts, got {other:?}"),
+        })
+        .collect();
+    client.close().unwrap();
+    server.shutdown();
+    (flushed, verdicts)
+}
+
+fn episode_packet(tuple: FiveTuple, timestamp: f64, flags: TcpFlags, len: usize) -> Packet {
+    Packet {
+        timestamp,
+        tuple,
+        flags,
+        payload: b"episode ".iter().copied().cycle().take(len).collect(),
+    }
+}
+
+/// A flow idle-swept mid-batch that then buffers again owes two
+/// verdicts: the swept episode's, delivered while the batch is
+/// processed, and the new episode's, flushed (and counted) by the drain.
+#[test]
+fn idle_swept_flow_that_buffers_again_gets_each_verdict_once() {
+    let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 7, 0, 1), 41000, Ipv4Addr::new(10, 7, 0, 2), 443);
+    let packets = [
+        episode_packet(tuple, 0.0, TcpFlags::ACK, 8),
+        // One idle timeout later: the sweep due at this packet evicts
+        // the stalled flow, and the FIN drops its fresh CDB record.
+        episode_packet(tuple, 10.0, TcpFlags::FIN | TcpFlags::ACK, 0),
+        episode_packet(tuple, 10.1, TcpFlags::ACK, 8),
+    ];
+    let (flushed, verdicts) = episodes_after_drain(server_config(), &packets);
+    assert_eq!(verdicts, vec![(1, 8), (1, 8)], "one verdict per episode");
+    assert_eq!(flushed, 1, "the drain flushes the second episode");
+}
+
+/// A flow classified again after its CDB record expires owes one
+/// verdict per classification episode, however the batch is split.
+#[test]
+fn ttl_reclassified_flow_gets_each_verdict_once() {
+    let mut config = server_config();
+    config.pipeline.cdb.reclassify_after = Some(1.0);
+    let tuple = FiveTuple::tcp(Ipv4Addr::new(10, 7, 0, 3), 42000, Ipv4Addr::new(10, 7, 0, 4), 443);
+    let packets = [
+        episode_packet(tuple, 0.0, TcpFlags::ACK, 40), // classifies at b = 32
+        episode_packet(tuple, 0.5, TcpFlags::ACK, 8),  // hit
+        episode_packet(tuple, 2.0, TcpFlags::ACK, 40), // expired: classifies again
+        episode_packet(tuple, 2.5, TcpFlags::ACK, 8),  // hit
+        episode_packet(tuple, 4.0, TcpFlags::ACK, 8),  // expired: buffers again
+    ];
+    let (flushed, verdicts) = episodes_after_drain(config, &packets);
+    assert_eq!(verdicts, vec![(1, 32), (1, 32), (1, 8)], "one verdict per episode");
+    assert_eq!(flushed, 1, "the drain flushes the third episode");
+}

@@ -566,8 +566,7 @@ fn l009_alloc_reachability(ws: &Workspace, cfg: &RootsConfig) -> Vec<Violation> 
 
 /// Whether L010 analyzes functions from this file.
 fn l010_scope(file: &str) -> bool {
-    (file.starts_with("crates/serve/src/") && !file.contains("/bin/"))
-        || file == "crates/core/src/concurrent.rs"
+    file.starts_with("crates/serve/src/") && !file.contains("/bin/")
 }
 
 /// Per-function transitive lock summaries: which locks a call may

@@ -1,5 +1,5 @@
-//! Production deployment patterns: train once → persist → load in a
-//! multi-core sharded pipeline, plus §4.6 tunnel handling.
+//! Production deployment patterns: train once → persist → load into
+//! flow-sharded pipelines, plus §4.6 tunnel handling.
 //!
 //! Run with:
 //!
@@ -33,27 +33,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::metadata(&model_path)?.len()
     );
 
-    // ── 2. Load it in the "router" process and shard across cores ───
+    // ── 2. Load it in the "router" process and shard by flow ───────
+    // Each shard owns an independent pipeline and CDB; `shard_index`
+    // places every packet of a flow on the same shard, so no state is
+    // shared. One thread drives all shards here; a multi-core router
+    // gives each shard its own core (as `iustitia-serve` does).
     let loaded = NatureModel::load(&model_path)?;
     let shards = 4;
-    let sharded = ShardedIustitia::new(
-        loaded.clone(),
-        PipelineConfig { buffer_size: b, ..PipelineConfig::headline(21) },
-        shards,
-    );
+    let mut pipelines: Vec<Iustitia> = (0..shards)
+        .map(|shard| {
+            let config = PipelineConfig { buffer_size: b, ..PipelineConfig::headline(21 + shard) };
+            Iustitia::new(loaded.clone(), config)
+        })
+        .collect();
 
     let mut trace = TraceConfig::small_test(22);
     trace.n_flows = 600;
     trace.content = ContentMode::Realistic;
-    println!("\nprocessing a {}-flow trace across {shards} shards...", trace.n_flows);
-    let report = sharded.process_stream(TraceGenerator::new(trace));
-    println!(
-        "  {} packets, {} CDB hits, {} flows classified",
-        report.packets, report.hits, report.flows_classified
-    );
-    println!("  per-shard CDB sizes: {:?}", report.cdb_sizes);
-    let mean_c =
-        report.log.iter().map(|f| f.packets as f64).sum::<f64>() / report.log.len().max(1) as f64;
+    println!("\nrouting a {}-flow trace across {shards} shards...", trace.n_flows);
+    let (mut packets, mut hits, mut last_t) = (0u64, 0u64, 0.0f64);
+    for packet in TraceGenerator::new(trace) {
+        let shard = shard_index(&FlowId::of_tuple(&packet.tuple), pipelines.len());
+        if let Verdict::Hit(_) = pipelines[shard].process_packet(&packet) {
+            hits += 1;
+        }
+        packets += 1;
+        last_t = packet.timestamp;
+    }
+    let mut log = Vec::new();
+    for pipeline in &mut pipelines {
+        pipeline.sweep_idle(last_t + pipeline.config().idle_timeout + 1.0);
+        log.extend(pipeline.take_log());
+    }
+    println!("  {packets} packets, {hits} CDB hits, {} flows classified", log.len());
+    let cdb_sizes: Vec<usize> = pipelines.iter().map(|p| p.cdb().len()).collect();
+    println!("  per-shard CDB sizes: {cdb_sizes:?}");
+    let mean_c = log.iter().map(|f| f.packets as f64).sum::<f64>() / log.len().max(1) as f64;
     println!("  mean packets-to-classify c = {mean_c:.2}");
 
     // ── 3. Tunnel policy (§4.6) ──────────────────────────────────────
