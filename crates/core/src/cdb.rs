@@ -47,6 +47,89 @@ impl fmt::Display for FlowId {
     }
 }
 
+/// log2 of the [`FlowIdCache`] slot count.
+const FLOW_ID_CACHE_BITS: u32 = 12;
+
+/// Number of [`FlowIdCache`] slots.
+const FLOW_ID_CACHE_SLOTS: usize = 1 << FLOW_ID_CACHE_BITS;
+
+/// A fixed-size, direct-mapped memo of `FiveTuple → FlowId`, so a
+/// packet of an already-hashed flow skips SHA-1.
+///
+/// Each of the 4096 slots holds a tuple's canonical 13 bytes and its
+/// flow ID. [`resolve`](Self::resolve) picks a slot with a
+/// multiply-shift hash of those bytes and returns the stored ID only
+/// when the stored bytes equal the tuple's in full; otherwise it
+/// computes [`FlowId::of_tuple`] and overwrites the slot. Every result
+/// is therefore bit-identical to SHA-1, memory is fixed at set-up, and
+/// a stream of unique or colliding tuples costs one SHA-1 plus one
+/// slot probe per packet. An unused slot holds all-zero bytes, which
+/// no tuple encodes to: the protocol byte of a real tuple is 6 or 17.
+///
+/// This is a deployment extension: the paper hashes every packet
+/// (§4.5), and the offline [`Iustitia`](crate::pipeline::Iustitia)
+/// pipeline still does.
+///
+/// # Examples
+///
+/// ```
+/// use iustitia::cdb::{FlowId, FlowIdCache};
+/// use iustitia_netsim::FiveTuple;
+/// use std::net::Ipv4Addr;
+///
+/// let mut cache = FlowIdCache::new();
+/// let tuple = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 1), 53, Ipv4Addr::new(10, 0, 0, 2), 9000);
+/// assert_eq!(cache.resolve(&tuple), FlowId::of_tuple(&tuple)); // miss: SHA-1
+/// assert_eq!(cache.resolve(&tuple), FlowId::of_tuple(&tuple)); // hit: memo
+/// ```
+pub struct FlowIdCache {
+    slots: Box<[([u8; 13], FlowId)]>,
+}
+
+impl FlowIdCache {
+    /// Allocates the 4096 slots (about 130 KiB), all unused.
+    pub fn new() -> Self {
+        FlowIdCache { slots: vec![([0u8; 13], FlowId([0u8; 20])); FLOW_ID_CACHE_SLOTS].into() }
+    }
+
+    /// The flow ID of `tuple`: from its slot when the slot holds this
+    /// exact tuple, else SHA-1, which then replaces the slot's entry.
+    pub fn resolve(&mut self, tuple: &FiveTuple) -> FlowId {
+        let key = tuple.as_bytes();
+        let Some(slot) = self.slots.get_mut(slot_of(&key)) else {
+            return FlowId::of_tuple(tuple);
+        };
+        if slot.0 != key {
+            *slot = (key, FlowId::of_tuple(tuple));
+        }
+        slot.1
+    }
+}
+
+impl Default for FlowIdCache {
+    fn default() -> Self {
+        FlowIdCache::new()
+    }
+}
+
+impl fmt::Debug for FlowIdCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlowIdCache").field("slots", &self.slots.len()).finish()
+    }
+}
+
+/// Multiply-shift slot index of a tuple's 13 bytes: the first eight
+/// and last five bytes (addresses, ports, protocol) are folded through
+/// two odd 64-bit multipliers, and the product's top bits pick the
+/// slot.
+fn slot_of(key: &[u8; 13]) -> usize {
+    let [a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4] = *key;
+    let addrs = u64::from_le_bytes([a0, a1, a2, a3, a4, a5, a6, a7]);
+    let rest = u64::from_le_bytes([b0, b1, b2, b3, b4, 0, 0, 0]);
+    let mixed = addrs.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ rest;
+    (mixed.wrapping_mul(0xD6E8_FEB8_6659_FD93) >> (64 - FLOW_ID_CACHE_BITS)) as usize
+}
+
 /// One CDB record (194 bits in the paper's layout).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CdbRecord {
@@ -327,6 +410,54 @@ mod tests {
         assert_eq!(FlowId::of_tuple(&a), FlowId::of_tuple(&a));
         assert_ne!(FlowId::of_tuple(&a), FlowId::of_tuple(&b));
         assert_eq!(FlowId::of_tuple(&a).to_string().len(), 40);
+    }
+
+    #[test]
+    fn flow_id_cache_resolves_colliding_tuples_exactly() {
+        use std::net::Ipv4Addr;
+        // Candidate n varies the source port and the source address's
+        // last octet, so each kind of twin below finds a colliding pair.
+        let src = |n: u32| Ipv4Addr::new(10, 0, 0, (n >> 16) as u8);
+        let dst = Ipv4Addr::new(10, 0, 1, 1);
+        let tcp = |n: u32| FiveTuple::tcp(src(n), n as u16, dst, 443);
+        let twin = |make: &dyn Fn(u32) -> (FiveTuple, FiveTuple)| {
+            (0..1 << 24)
+                .map(make)
+                .find(|(x, y)| x != y && slot_of(&x.as_bytes()) == slot_of(&y.as_bytes()))
+                .expect("a colliding pair")
+        };
+        let pairs = [
+            twin(&|n| (tcp(0), tcp(n))),
+            twin(&|n| (tcp(n), FiveTuple::tcp(dst, 443, src(n), n as u16))),
+        ];
+        // Two distinct tuples sharing a slot (another flow, or the same
+        // flow seen from the other endpoint) must each keep resolving to
+        // their own SHA-1 as they evict each other.
+        for (x, y) in pairs {
+            let mut cache = FlowIdCache::new();
+            for t in [x, x, y, x, y, y] {
+                assert_eq!(cache.resolve(&t), FlowId::of_tuple(&t), "{t}");
+            }
+        }
+    }
+
+    #[test]
+    fn flow_id_cache_slots_spread_over_the_table() {
+        use std::net::Ipv4Addr;
+        // Sequential client ports, the common case for one host's
+        // flows, must not pile into a few slots.
+        let used: std::collections::HashSet<usize> = (0..4096u16)
+            .map(|port| {
+                let t = FiveTuple::tcp(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    40_000 + port,
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    443,
+                );
+                slot_of(&t.as_bytes())
+            })
+            .collect();
+        assert!(used.len() > 2048, "4096 tuples used only {} slots", used.len());
     }
 
     fn id64(n: u64) -> FlowId {

@@ -33,10 +33,10 @@ use crate::cdb::FlowId;
 ///
 /// Panics if `shards == 0`.
 pub fn shard_index(id: &FlowId, shards: usize) -> usize {
+    // lint: allow(L008) — documented contract; Server::start rejects zero shards before any packet is routed
     assert!(shards > 0, "need at least one shard");
-    let mut prefix = [0u8; 8];
-    prefix.copy_from_slice(&id.0[..8]);
-    (u64::from_be_bytes(prefix) % shards as u64) as usize
+    let [a, b, c, d, e, f, g, h, ..] = id.0;
+    (u64::from_be_bytes([a, b, c, d, e, f, g, h]) % shards as u64) as usize
 }
 
 #[cfg(test)]

@@ -158,7 +158,7 @@ impl PipelineConfig {
 
 /// One packet of a batch, paired with its precomputed flow ID.
 ///
-/// The serve layer hashes the 5-tuple on its reader threads, so the
+/// The serve layer resolves flow IDs on its reactor thread, so the
 /// shard-side batch path should not redo the SHA-1 per packet;
 /// [`FlowId::of_tuple`] is deterministic, so precomputing the ID
 /// changes no verdict.

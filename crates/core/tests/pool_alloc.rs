@@ -15,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use iustitia::cdb::{FlowId, FlowIdCache};
 use iustitia::features::{FeatureMode, TrainingMethod};
 use iustitia::model::{train_anytime_from_corpus, train_from_corpus_battery, ModelKind};
 use iustitia::pipeline::{AnytimeConfig, BatchPacket, Iustitia, PipelineConfig, Verdict};
@@ -257,4 +258,27 @@ fn recycled_flow_packets_allocate_nothing_through_classification() {
         "a steady-state multi-flow segment (hit run, full-window run, early-exit \
          run) must not allocate (saw {during} allocator calls)"
     );
+
+    // ── Flow-ID memo phase ───────────────────────────────────────────
+    // The reactor's `FlowIdCache` allocates its slots once, at
+    // construction: resolving a tuple allocates nothing, whether the
+    // slot holds it (hit) or SHA-1 runs and overwrites the slot (miss).
+    let mut cache = FlowIdCache::new();
+    let tuples: Vec<FiveTuple> = (0..64u16)
+        .map(|port| {
+            FiveTuple::udp(Ipv4Addr::new(10, 0, 1, 1), port, Ipv4Addr::new(10, 0, 1, 2), 53)
+        })
+        .collect();
+    let before = alloc_calls();
+    for tuple in &tuples {
+        assert_eq!(cache.resolve(tuple), FlowId::of_tuple(tuple));
+    }
+    let on_miss = alloc_calls() - before;
+    let before = alloc_calls();
+    for tuple in &tuples {
+        assert_eq!(cache.resolve(tuple), FlowId::of_tuple(tuple));
+    }
+    let on_hit = alloc_calls() - before;
+    assert_eq!(on_miss, 0, "FlowIdCache::resolve on a miss allocated {on_miss} times");
+    assert_eq!(on_hit, 0, "FlowIdCache::resolve on a hit allocated {on_hit} times");
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the core pipeline and SHA-1.
 
-use iustitia::cdb::{CdbConfig, ClassificationDatabase, FlowId};
+use iustitia::cdb::{CdbConfig, ClassificationDatabase, FlowId, FlowIdCache};
 use iustitia::features::{FeatureExtractor, FeatureMode};
 use iustitia::model::{
     AnytimeModel, AnytimeStageModel, ModelKind, NatureModel, ANYTIME_THRESHOLD_DISABLED,
@@ -12,7 +12,7 @@ use iustitia::sha1::sha1;
 use iustitia_corpus::FileClass;
 use iustitia_entropy::FeatureWidths;
 use iustitia_ml::{ConfidenceModel, Dataset};
-use iustitia_netsim::{FiveTuple, Packet, TcpFlags};
+use iustitia_netsim::{FiveTuple, Packet, Protocol, TcpFlags};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -333,5 +333,76 @@ proptest! {
         }
         prop_assert!(cdb.is_empty());
         prop_assert_eq!(cdb.stats().removed_by_close, distinct.len() as u64);
+    }
+}
+
+/// `tuple` seen from the other endpoint.
+fn reversed(tuple: &FiveTuple) -> FiveTuple {
+    FiveTuple {
+        src_ip: tuple.dst_ip,
+        dst_ip: tuple.src_ip,
+        src_port: tuple.dst_port,
+        dst_port: tuple.src_port,
+        protocol: tuple.protocol,
+    }
+}
+
+/// The same endpoints under the other transport protocol.
+fn other_protocol(tuple: &FiveTuple) -> FiveTuple {
+    let protocol = match tuple.protocol {
+        Protocol::Tcp => Protocol::Udp,
+        Protocol::Udp => Protocol::Tcp,
+    };
+    FiveTuple { protocol, ..*tuple }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The reactor's flow-ID memo is exact. The stream mixes TCP and
+    /// UDP, repeats earlier flows in both directions and under the
+    /// other protocol, and carries more distinct tuples than the memo's
+    /// 4096 slots, so slots collide and are overwritten; every
+    /// `resolve` must still equal a fresh SHA-1.
+    #[test]
+    fn flow_id_cache_resolve_equals_sha1_flow_id(
+        flows in proptest::collection::vec(
+            (any::<[u8; 4]>(), any::<u16>(), any::<u16>(), any::<bool>()),
+            4200..5200,
+        ),
+        repeats in proptest::collection::vec((any::<u32>(), 0u8..3), 4000..6000),
+    ) {
+        let tuples: Vec<FiveTuple> = flows
+            .iter()
+            .enumerate()
+            .map(|(i, &(ip, sport, dport, tcp))| {
+                // The destination encodes the index: every flow is distinct.
+                let dst = Ipv4Addr::from(0x0a00_0000 | i as u32);
+                if tcp {
+                    FiveTuple::tcp(Ipv4Addr::from(ip), sport, dst, dport)
+                } else {
+                    FiveTuple::udp(Ipv4Addr::from(ip), sport, dst, dport)
+                }
+            })
+            .collect();
+        let distinct: std::collections::HashSet<FiveTuple> = tuples.iter().copied().collect();
+        prop_assert!(distinct.len() > 4096);
+
+        let mut cache = FlowIdCache::new();
+        let mut repeats = repeats.iter();
+        for (i, tuple) in tuples.iter().enumerate() {
+            prop_assert_eq!(cache.resolve(tuple), FlowId::of_tuple(tuple));
+            // Interleave a repeat of an earlier flow: as sent, from the
+            // other endpoint, or with the other protocol.
+            if let Some(&(pick, variant)) = repeats.next() {
+                let earlier = &tuples[pick as usize % (i + 1)];
+                let again = match variant {
+                    0 => *earlier,
+                    1 => reversed(earlier),
+                    _ => other_protocol(earlier),
+                };
+                prop_assert_eq!(cache.resolve(&again), FlowId::of_tuple(&again));
+            }
+        }
     }
 }

@@ -50,6 +50,7 @@ impl Parallelism {
     /// platform cannot report it).
     pub fn resolve(&self) -> usize {
         if self.threads == 0 {
+            // lint: allow(L008) — returns a Result, handled below; on the reactor path only via `.resolve()` name fan-out
             match std::thread::available_parallelism() {
                 Ok(n) => n.get(),
                 Err(_) => 1,

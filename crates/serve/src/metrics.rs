@@ -20,11 +20,16 @@ pub const BUCKETS: usize = 64;
 /// The packet path attributes each packet's processing time to the
 /// stage that *terminated* it: a CDB hit never reaches the buffer, a
 /// buffered packet never reaches the classifier. `Hash` is measured
-/// separately on the reader thread, where the flow ID is computed for
+/// separately on the reactor thread, where the flow ID is resolved for
 /// shard routing.
+///
+/// Every stage records one sample per data packet, timed as the mean
+/// over the batch the packet was processed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// SHA-1 flow-ID computation (reader thread, every data packet).
+    /// Flow-ID resolution on the reactor thread (memo, SHA-1 on a
+    /// miss): one sample per data packet, timed as the mean over each
+    /// dispatch batch.
     Hash = 0,
     /// CDB lookup resolving to a hit (worker thread).
     CdbLookup = 1,
@@ -65,9 +70,18 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// Records one sample of `nanos` nanoseconds.
     pub fn record(&self, nanos: u64) {
+        self.record_n(nanos, 1);
+    }
+
+    /// Records `n` samples of `nanos` nanoseconds each, with one atomic
+    /// add (none when `n == 0`).
+    pub fn record_n(&self, nanos: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = nanos.checked_ilog2().unwrap_or(0) as usize;
         // lint: allow(L008) — ilog2 of a u64 is at most 63 < BUCKETS
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Copies the current bucket counts.
@@ -240,8 +254,14 @@ impl ServeMetrics {
 
     /// Records a stage latency sample.
     pub fn record(&self, stage: Stage, nanos: u64) {
+        self.record_n(stage, nanos, 1);
+    }
+
+    /// Records `n` stage latency samples of `nanos` each (a batch's
+    /// mean per packet, once for each of its `n` packets).
+    pub fn record_n(&self, stage: Stage, nanos: u64, n: u64) {
         // lint: allow(L008) — stages has one slot per Stage variant
-        self.stages[stage as usize].record(nanos);
+        self.stages[stage as usize].record_n(nanos, n);
     }
 
     /// Copies every counter and histogram.
@@ -529,6 +549,22 @@ mod tests {
         assert_eq!(s.buckets[1], 2, "2 and 3 land in bucket 1");
         assert_eq!(s.buckets[10], 1);
         assert_eq!(s.count(), 5);
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        for (nanos, n) in [(0, 1), (1, 7), (250, 64), (1 << 20, 3), (u64::MAX, 2), (96, 0)] {
+            let batched = LatencyHistogram::default();
+            batched.record_n(nanos, n);
+            let single = LatencyHistogram::default();
+            for _ in 0..n {
+                single.record(nanos);
+            }
+            assert_eq!(batched.snapshot(), single.snapshot(), "{n} x {nanos} ns");
+        }
+        let m = ServeMetrics::default();
+        m.record_n(Stage::Hash, 300, 5);
+        assert_eq!(m.snapshot().stage(Stage::Hash).count(), 5);
     }
 
     #[test]

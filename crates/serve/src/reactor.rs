@@ -57,9 +57,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use iustitia::cdb::FlowId;
+use iustitia::cdb::FlowIdCache;
 use iustitia::concurrent::shard_index;
 use iustitia::features::FeatureExtractor;
+use iustitia_netsim::Packet;
 
 use crate::conn::{FrameAssembler, WriteBuffer};
 use crate::metrics::{ServeMetrics, Stage};
@@ -143,6 +144,13 @@ impl Outbox {
         self.wake.drain();
     }
 
+    /// Queues `response` for delivery to connection `conn_id` and
+    /// wakes the reactor (shard verdicts and the reactor's own `Busy`
+    /// rejections).
+    pub(crate) fn reply(&self, conn_id: u64, response: Response) {
+        self.push(OutMsg::Reply { conn_id, response });
+    }
+
     fn push(&self, msg: OutMsg) {
         let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         let was_empty = pending.is_empty();
@@ -168,26 +176,6 @@ impl Outbox {
 impl std::fmt::Debug for Outbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Outbox").finish_non_exhaustive()
-    }
-}
-
-/// Where a shard worker sends a connection's responses: a handle on
-/// the reactor's outbox, replacing the old per-connection
-/// `mpsc::Sender<Response>` + writer thread.
-#[derive(Clone, Debug)]
-pub(crate) struct ReplySink {
-    conn_id: u64,
-    outbox: Arc<Outbox>,
-}
-
-impl ReplySink {
-    pub(crate) fn new(conn_id: u64, outbox: Arc<Outbox>) -> ReplySink {
-        ReplySink { conn_id, outbox }
-    }
-
-    /// Queues `response` for delivery and wakes the reactor.
-    pub(crate) fn send(&self, response: Response) {
-        self.outbox.push(OutMsg::Reply { conn_id: self.conn_id, response });
     }
 }
 
@@ -288,7 +276,6 @@ pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     udp: Option<UdpSocket>,
     shared: Arc<Shared>,
-    outbox: Arc<Outbox>,
     conns: Vec<Option<Conn>>,
     free_slots: Vec<usize>,
     by_id: HashMap<u64, usize>,
@@ -299,6 +286,11 @@ pub(crate) struct Reactor {
     /// Serves one-shot `ClassifyBuffer` requests on the reactor thread
     /// (stateless per call; shared across connections).
     extractor: FeatureExtractor,
+    /// Data packets decoded since the last dispatch, with the
+    /// connection that submitted each.
+    submitted: VecDeque<(u64, Packet)>,
+    /// Memoized flow IDs: SHA-1 runs once per flow, not per packet.
+    flow_ids: FlowIdCache,
     per_shard: Vec<Vec<Job>>,
     pending_frames: usize,
     dirty: Vec<usize>,
@@ -322,8 +314,7 @@ impl Reactor {
     ) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN)?;
-        let outbox = Arc::clone(&shared.outbox);
-        epoll.add(outbox.wake_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
+        epoll.add(shared.outbox.wake_raw_fd(), TOKEN_WAKE, EPOLLIN)?;
         if let Some(socket) = &udp {
             epoll.add(socket.as_raw_fd(), TOKEN_UDP, EPOLLIN)?;
         }
@@ -336,7 +327,6 @@ impl Reactor {
             listener: Some(listener),
             udp,
             shared,
-            outbox,
             conns: Vec::new(),
             free_slots: Vec::new(),
             by_id: HashMap::new(),
@@ -345,6 +335,8 @@ impl Reactor {
             udp_out: VecDeque::new(),
             udp_interest: EPOLLIN,
             extractor,
+            submitted: VecDeque::new(),
+            flow_ids: FlowIdCache::new(),
             per_shard: (0..shards).map(|_| Vec::new()).collect(),
             pending_frames: 0,
             dirty: Vec::new(),
@@ -409,7 +401,7 @@ impl Reactor {
                 let ready = ev.events;
                 match ev.token {
                     TOKEN_LISTENER => accept_pending = true,
-                    TOKEN_WAKE => self.outbox.drain_wake(),
+                    TOKEN_WAKE => self.shared.outbox.drain_wake(),
                     TOKEN_UDP => self.udp_ready(ready),
                     token => self.conn_ready(token, ready),
                 }
@@ -667,8 +659,11 @@ impl Reactor {
         // Packets this connection submitted must reach the shards
         // before the disconnect that forgets their routes.
         self.dispatch_pending();
-        let gate =
-            FanInGate::disconnect(conn_id, self.shared.queues.len(), Arc::clone(&self.outbox));
+        let gate = FanInGate::disconnect(
+            conn_id,
+            self.shared.queues.len(),
+            Arc::clone(&self.shared.outbox),
+        );
         for queue in &self.shared.queues {
             if !queue.push_control(Job::Disconnect { conn_id, gate: Arc::clone(&gate) }) {
                 // Queue already closed (server shutting down): the
@@ -703,16 +698,8 @@ impl Reactor {
     fn handle_request(&mut self, origin: &Origin, request: Request) {
         let Some(conn_id) = self.origin_conn_id(origin) else { return };
         match request {
-            Request::SubmitPacket(packet) => {
-                let t0 = Instant::now();
-                let flow = FlowId::of_tuple(&packet.tuple);
-                self.shared.metrics.record(Stage::Hash, t0.elapsed().as_nanos() as u64);
-                let shard = shard_index(&flow, self.shared.config.shards);
-                let reply = ReplySink::new(conn_id, Arc::clone(&self.outbox));
-                if let Some(jobs) = self.per_shard.get_mut(shard) {
-                    jobs.push(Job::Packet { packet, flow, conn_id, reply });
-                }
-            }
+            // Flow IDs are resolved for the whole batch at dispatch.
+            Request::SubmitPacket(packet) => self.submitted.push_back((conn_id, packet)),
             Request::ClassifyBuffer(data) => {
                 let t0 = Instant::now();
                 let buffer_size = self.shared.config.pipeline.buffer_size;
@@ -736,8 +723,11 @@ impl Reactor {
                 // Barrier: everything submitted before the drain must
                 // reach the shards before the drain jobs do.
                 self.dispatch_pending();
-                let gate =
-                    FanInGate::drain(conn_id, self.shared.queues.len(), Arc::clone(&self.outbox));
+                let gate = FanInGate::drain(
+                    conn_id,
+                    self.shared.queues.len(),
+                    Arc::clone(&self.shared.outbox),
+                );
                 for queue in &self.shared.queues {
                     if !queue.push_control(Job::Drain { conn_id, gate: Arc::clone(&gate) }) {
                         gate.ack(0);
@@ -747,12 +737,28 @@ impl Reactor {
         }
     }
 
-    /// Pushes each shard's pending jobs under one lock acquisition and
-    /// applies the admission outcome: `Busy` replies for rejected
-    /// packets, drop counters for evictions. This is the reactor's
-    /// event-dispatch entry point into the shard fan-in.
+    /// Resolves the flow ID of every submitted packet and routes it to
+    /// its shard, then pushes each shard's pending jobs under one lock
+    /// acquisition and applies the admission outcome: `Busy` replies
+    /// for rejected packets, drop counters for evictions. This is the
+    /// reactor's event-dispatch entry point into the shard fan-in.
     pub(crate) fn dispatch_pending(&mut self) {
         self.pending_frames = 0;
+        if !self.submitted.is_empty() {
+            // One clock pair per dispatch: `Hash` gets the batch's mean
+            // per packet, once for every packet in it.
+            let batch = self.submitted.len() as u64;
+            let t0 = Instant::now();
+            let shards = self.shared.config.shards;
+            while let Some((conn_id, packet)) = self.submitted.pop_front() {
+                let flow = self.flow_ids.resolve(&packet.tuple);
+                if let Some(jobs) = self.per_shard.get_mut(shard_index(&flow, shards)) {
+                    jobs.push(Job::Packet { packet, flow, conn_id });
+                }
+            }
+            let mean = t0.elapsed().as_nanos() as u64 / batch;
+            self.shared.metrics.record_n(Stage::Hash, mean, batch);
+        }
         for (shard, jobs) in self.per_shard.iter_mut().enumerate() {
             if jobs.is_empty() {
                 continue;
@@ -766,8 +772,8 @@ impl Reactor {
             ServeMetrics::add(&self.shared.metrics.busy_rejects, rejected);
             ServeMetrics::add(&self.shared.metrics.dropped_oldest, outcome.dropped.len() as u64);
             for job in outcome.rejected {
-                if let Job::Packet { packet, reply, .. } = job {
-                    reply.send(Response::Busy(packet.tuple));
+                if let Job::Packet { packet, conn_id, .. } = job {
+                    self.shared.outbox.reply(conn_id, Response::Busy(packet.tuple));
                 }
             }
         }
@@ -854,7 +860,7 @@ impl Reactor {
             let gate = FanInGate::disconnect(
                 conn.conn_id,
                 self.shared.queues.len(),
-                Arc::clone(&self.outbox),
+                Arc::clone(&self.shared.outbox),
             );
             for queue in &self.shared.queues {
                 if !queue.push_control(Job::Disconnect {
@@ -874,7 +880,7 @@ impl Reactor {
     /// deferred closes.
     fn process_outbox(&mut self) {
         let mut msgs = std::mem::take(&mut self.out_scratch);
-        self.outbox.drain_into(&mut msgs);
+        self.shared.outbox.drain_into(&mut msgs);
         for msg in msgs.drain(..) {
             match msg {
                 OutMsg::Reply { conn_id, response } => {
@@ -1027,8 +1033,11 @@ impl Reactor {
     fn forget_udp_peer(&mut self, conn_id: u64) {
         let Some(peer) = self.udp_by_id.remove(&conn_id) else { return };
         self.udp_peers.remove(&peer.addr);
-        let gate =
-            FanInGate::disconnect(conn_id, self.shared.queues.len(), Arc::clone(&self.outbox));
+        let gate = FanInGate::disconnect(
+            conn_id,
+            self.shared.queues.len(),
+            Arc::clone(&self.shared.outbox),
+        );
         for queue in &self.shared.queues {
             if !queue.push_control(Job::Disconnect { conn_id, gate: Arc::clone(&gate) }) {
                 gate.ack(0);

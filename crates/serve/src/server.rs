@@ -12,17 +12,22 @@
 //! ```
 //!
 //! A single [`Reactor`] thread owns every socket: it accepts
-//! connections, reassembles frames from nonblocking reads, computes
-//! flow IDs, and batches packets per shard. Flow-affine work is routed
-//! by [`shard_index`](iustitia::concurrent::shard_index) to one of `N`
+//! connections, reassembles frames from nonblocking reads, resolves
+//! flow IDs, and batches packets per shard. A flow ID is the paper's
+//! SHA-1 of the 5-tuple, memoized by a fixed-size
+//! [`FlowIdCache`](iustitia::cdb::FlowIdCache), so SHA-1 runs about
+//! once per flow instead of once per packet and every ID is still
+//! bit-identical to it. Flow-affine work is routed by
+//! [`shard_index`](iustitia::concurrent::shard_index) to one of `N`
 //! *shard workers*, each owning an independent [`Iustitia`] pipeline
 //! and CDB, so no classification state is ever shared and the packet
 //! path takes no locks beyond its own shard queue. A worker sorts each
 //! drained segment of packets by flow, classifies it with one
 //! [`Iustitia::process_batch`] call, and routes every verdict to the
 //! connection that submitted the flow: a flow holds a route exactly
-//! while it is pending in the pipeline. Workers push responses into the
-//! reactor's outbox and wake its eventfd; the reactor serializes them
+//! while it is pending in the pipeline. Jobs and routes carry only the
+//! connection id; workers push responses into the reactor's one
+//! `Outbox` and wake its eventfd, and the reactor serializes them
 //! onto the owning socket.
 //!
 //! Backpressure is per shard: bounded ingress queues with a
@@ -55,7 +60,7 @@ use iustitia_netsim::{FiveTuple, Packet};
 use crate::metrics::{ServeMetrics, ShardGauges, Stage};
 use crate::proto::{FlowVerdict, Response};
 use crate::queue::{AdmissionPolicy, BoundedQueue};
-use crate::reactor::{FanInGate, Outbox, Reactor, ReplySink};
+use crate::reactor::{FanInGate, Outbox, Reactor};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -107,17 +112,14 @@ impl ServerConfig {
 
 /// Work item on a shard queue.
 pub(crate) enum Job {
-    /// One packet to classify, with the reply sink of the connection
-    /// that submitted it.
+    /// One packet to classify, with the connection that submitted it.
     Packet {
         /// The packet itself.
         packet: Packet,
-        /// Its flow id (computed on the reactor thread).
+        /// Its flow id (resolved on the reactor thread).
         flow: FlowId,
-        /// The submitting connection.
+        /// The submitting connection, where its flow's verdict goes.
         conn_id: u64,
-        /// Where its flow's verdict must be delivered.
-        reply: ReplySink,
     },
     /// Barrier: classify all in-flight flows now; the last shard's ack
     /// replies `DrainComplete` through the gate.
@@ -141,7 +143,6 @@ pub(crate) enum Job {
 struct Route {
     tuple: FiveTuple,
     conn_id: u64,
-    reply: ReplySink,
 }
 
 /// State shared by every thread of one server.
@@ -329,7 +330,6 @@ struct PacketJob {
     /// the in-place sort by flow ID stable.
     seq: usize,
     conn_id: u64,
-    reply: ReplySink,
 }
 
 /// One shard's classification state: an [`Iustitia`] pipeline (with its
@@ -378,9 +378,9 @@ fn shard_worker(shared: &Arc<Shared>, shard: usize) {
     while let Some(batch) = shared.queues[shard].pop_all() {
         for job in batch {
             match job {
-                Job::Packet { packet, flow, conn_id, reply } => {
+                Job::Packet { packet, flow, conn_id } => {
                     let seq = state.segment.len();
-                    state.segment.push(PacketJob { packet, flow, seq, conn_id, reply });
+                    state.segment.push(PacketJob { packet, flow, seq, conn_id });
                 }
                 Job::Drain { conn_id, gate } => {
                     // Barrier: everything submitted before the drain is
@@ -446,18 +446,18 @@ impl Shard {
         let per_packet = t0.elapsed().as_nanos() as u64 / items.len().max(1) as u64;
         self.items = reuse(items);
 
-        let mut hits = 0;
+        let (mut hits, mut fills, mut classified) = (0, 0, 0);
         for verdict in &self.verdicts {
             match verdict {
-                Verdict::Hit(_) => {
-                    shared.metrics.record(Stage::CdbLookup, per_packet);
-                    hits += 1;
-                }
-                Verdict::Buffering => shared.metrics.record(Stage::BufferFill, per_packet),
-                Verdict::Classified(_) => shared.metrics.record(Stage::Classify, per_packet),
+                Verdict::Hit(_) => hits += 1,
+                Verdict::Buffering => fills += 1,
+                Verdict::Classified(_) => classified += 1,
                 Verdict::Ignored => {}
             }
         }
+        shared.metrics.record_n(Stage::CdbLookup, per_packet, hits);
+        shared.metrics.record_n(Stage::BufferFill, per_packet, fills);
+        shared.metrics.record_n(Stage::Classify, per_packet, classified);
         ServeMetrics::add(&shared.metrics.hits, hits);
         self.deliver_log(shared, None);
 
@@ -471,11 +471,9 @@ impl Shard {
             prev = Some(job.flow);
             flows += 1;
             if self.pipeline.is_pending(&job.flow) {
-                self.routes.entry(job.flow).or_insert_with(|| Route {
-                    tuple: job.packet.tuple,
-                    conn_id: job.conn_id,
-                    reply: job.reply.clone(),
-                });
+                self.routes
+                    .entry(job.flow)
+                    .or_insert(Route { tuple: job.packet.tuple, conn_id: job.conn_id });
             } else {
                 // lint: allow(L008) — HashMap::remove never panics (the KB is conservative for Vec::remove)
                 self.routes.remove(&job.flow);
@@ -498,13 +496,13 @@ impl Shard {
         for entry in &log {
             shared.metrics.bytes_at_verdict.record(entry.buffered_bytes as u64);
             // lint: allow(L008) — HashMap::remove never panics (the KB is conservative for Vec::remove)
-            let (tuple, conn_id, reply) = match self.routes.remove(&entry.id) {
-                Some(route) => (route.tuple, route.conn_id, route.reply),
+            let (tuple, conn_id) = match self.routes.remove(&entry.id) {
+                Some(route) => (route.tuple, route.conn_id),
                 None => {
                     // lint: allow(L008) — a binary search over the sorted segment; it never panics
                     let at = self.segment.partition_point(|j| j.flow < entry.id);
                     match self.segment.get(at).filter(|j| j.flow == entry.id) {
-                        Some(job) => (job.packet.tuple, job.conn_id, job.reply.clone()),
+                        Some(job) => (job.packet.tuple, job.conn_id),
                         None => continue,
                     }
                 }
@@ -512,13 +510,16 @@ impl Shard {
             if count_conn == Some(conn_id) {
                 counted += 1;
             }
-            reply.send(Response::FlowVerdict(FlowVerdict {
-                tuple,
-                label: entry.label,
-                packets: entry.packets,
-                buffered_bytes: entry.buffered_bytes as u32,
-                fill_time: entry.fill_time,
-            }));
+            shared.outbox.reply(
+                conn_id,
+                Response::FlowVerdict(FlowVerdict {
+                    tuple,
+                    label: entry.label,
+                    packets: entry.packets,
+                    buffered_bytes: entry.buffered_bytes as u32,
+                    fill_time: entry.fill_time,
+                }),
+            );
         }
         counted
     }

@@ -665,3 +665,145 @@ fn ttl_reclassified_flow_gets_each_verdict_once() {
     assert_eq!(verdicts, vec![(1, 32), (1, 32), (1, 8)], "one verdict per episode");
     assert_eq!(flushed, 1, "the drain flushes the third episode");
 }
+
+/// A flood of one-packet flows with distinct tuples, more than the
+/// reactor's 4096-slot flow-ID memo holds, interleaved with repeat
+/// packets of live flows across three connections. Memo collisions
+/// and overwrites must not change a single flow ID: every flow gets
+/// exactly one verdict, on the connection that submitted it, equal to
+/// a reference pipeline keyed by `FlowId::of_tuple`.
+#[test]
+fn tuple_flood_keeps_verdicts_exact_and_routed() {
+    use iustitia::cdb::FlowId;
+    use iustitia::pipeline::Iustitia;
+
+    const CONNS: usize = 3;
+    const FLOOD: u32 = 6000;
+    const LIVE: u32 = 60;
+    const LIVE_PACKETS: u32 = 12; // 4 × 8 bytes fill b = 32; 8 more CDB hits
+
+    // Payload bytes from a per-flow LCG: half random, half ASCII text.
+    let payload = |flow: u32, len: usize| -> Vec<u8> {
+        let mut x = u64::from(flow).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let byte = (x >> 56) as u8;
+                if flow % 2 == 0 {
+                    byte
+                } else {
+                    b' ' + byte % 95
+                }
+            })
+            .collect()
+    };
+    let flood_tuple = |i: u32| {
+        let src = Ipv4Addr::new(10, 100 + (i >> 16) as u8, (i >> 8) as u8, i as u8);
+        let dst = Ipv4Addr::new(192, 0, 2, 1);
+        if i % 2 == 0 {
+            FiveTuple::tcp(src, 30_000 + (i % 1000) as u16, dst, 443)
+        } else {
+            FiveTuple::udp(src, 30_000 + (i % 1000) as u16, dst, 53)
+        }
+    };
+    let live_tuple = |j: u32| {
+        FiveTuple::tcp(Ipv4Addr::new(10, 50, 0, j as u8), 50_000, Ipv4Addr::new(192, 0, 2, 2), 80)
+    };
+
+    // (connection, packet) in submission order: chunks of flood flows,
+    // each followed by the next packet of every live flow.
+    let mut schedule: Vec<(usize, Packet)> = Vec::new();
+    let chunk = FLOOD / LIVE_PACKETS;
+    for step in 0..LIVE_PACKETS {
+        for i in step * chunk..(step + 1) * chunk {
+            let packet = Packet {
+                timestamp: schedule.len() as f64 * 1e-4,
+                tuple: flood_tuple(i),
+                flags: if i % 2 == 0 { TcpFlags::ACK } else { TcpFlags::empty() },
+                payload: payload(i, 40),
+            };
+            schedule.push((i as usize % CONNS, packet));
+        }
+        for j in 0..LIVE {
+            let packet = Packet {
+                timestamp: schedule.len() as f64 * 1e-4,
+                tuple: live_tuple(j),
+                flags: TcpFlags::ACK,
+                payload: payload(FLOOD + j * LIVE_PACKETS + step, 8),
+            };
+            schedule.push((j as usize % CONNS, packet));
+        }
+    }
+    let total = schedule.len() as u64;
+    assert_eq!(total, u64::from(FLOOD + LIVE * LIVE_PACKETS));
+
+    // Reference: one offline pipeline over the same packets.
+    let model = trained_model();
+    let mut reference = Iustitia::new(model.clone(), PipelineConfig::headline(33));
+    for (_, packet) in &schedule {
+        reference.process_packet(packet);
+    }
+    reference.sweep_idle(1e9);
+    let log = reference.take_log();
+    assert_eq!(log.len(), (FLOOD + LIVE) as usize, "reference classifies every flow once");
+    let expected: HashMap<FlowId, (iustitia_corpus::FileClass, u32, u32)> =
+        log.iter().map(|f| (f.id, (f.label, f.packets, f.buffered_bytes as u32))).collect();
+
+    let server = Server::start("127.0.0.1:0", model, server_config()).unwrap();
+    let mut clients: Vec<Client> =
+        (0..CONNS).map(|_| Client::connect(server.local_addr()).unwrap()).collect();
+    let mut owner: HashMap<FiveTuple, usize> = HashMap::new();
+    for (conn, packet) in &schedule {
+        owner.insert(packet.tuple, *conn);
+        clients[*conn].submit_packet(packet).unwrap();
+    }
+    for client in &mut clients {
+        client.flush().unwrap();
+    }
+    // A drain sweeps every pending flow on every shard, whichever
+    // connection sent it: drain only once the reactor has dispatched
+    // all three connections' packets, so no live flow is swept early.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while clients[0].stats().unwrap().packets < total {
+        assert!(std::time::Instant::now() < deadline, "packets never reached the shards");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for client in &mut clients {
+        client.drain().unwrap();
+    }
+
+    let mut got: HashMap<FlowId, (iustitia_corpus::FileClass, u32, u32)> = HashMap::new();
+    for (conn, client) in clients.iter_mut().enumerate() {
+        for event in client.poll_events() {
+            match event {
+                ClientEvent::Verdict(v) => {
+                    assert_eq!(
+                        owner.get(&v.tuple),
+                        Some(&conn),
+                        "verdict for {} misrouted",
+                        v.tuple
+                    );
+                    let prev = got
+                        .insert(FlowId::of_tuple(&v.tuple), (v.label, v.packets, v.buffered_bytes));
+                    assert!(prev.is_none(), "duplicate verdict for {}", v.tuple);
+                }
+                ClientEvent::Busy(t) => panic!("queues were sized to never reject, got Busy({t})"),
+            }
+        }
+    }
+    assert_eq!(got.len(), expected.len(), "one verdict per flow");
+    assert!(got == expected, "served verdicts differ from the reference pipeline");
+
+    let stats = clients[0].stats().unwrap();
+    assert_eq!(stats.packets, total);
+    assert_eq!(stats.stage(Stage::Hash).count(), total, "one Hash sample per data packet");
+    assert_eq!(stats.hits, u64::from(LIVE * (LIVE_PACKETS - 4)));
+    assert_eq!(stats.flows_classified, u64::from(FLOOD + LIVE));
+
+    for client in clients {
+        client.close().unwrap();
+    }
+    server.shutdown();
+}
