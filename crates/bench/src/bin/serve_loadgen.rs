@@ -45,7 +45,7 @@ use iustitia_corpus::CorpusBuilder;
 use iustitia_entropy::FeatureWidths;
 use iustitia_netsim::{ContentMode, FiveTuple, Packet, TcpFlags, TraceConfig, TraceGenerator};
 use iustitia_serve::{
-    Client, ClientEvent, FrameAssembler, Request, Response, Server, ServerConfig, Stage,
+    Client, ClientEvent, FrameAssembler, Request, Response, Server, ServerConfig,
 };
 
 /// Feeds the trace through two freshly built pipelines — one per
@@ -507,43 +507,14 @@ fn stream_single_client(model: &NatureModel, packets: &[Packet], shards: usize) 
     println!("throughput:       {:.0} packets/s", packets.len() as f64 / elapsed);
     println!("verdicts:         {verdicts}");
     println!("busy rejects:     {busy}");
-    println!("server packets:   {} (cdb hits {})", stats.packets, stats.hits);
-    println!("flows classified: {}", stats.flows_classified);
     let b = 32u64; // headline config buffer size
     println!(
         "peak pending:     {peak_pending} flows, {peak_resident} B resident feature state \
          (buffered design would hold ~{} B payload)",
         peak_pending * b
     );
-    println!(
-        "final gauges:     {} pending / {} B across {} shards",
-        stats.pending_flows(),
-        stats.resident_feature_bytes(),
-        stats.shards.len()
-    );
-    println!(
-        "state pool:       {} recycled flow states ({} parked)",
-        stats.state_pool_hits(),
-        stats.state_pool_size()
-    );
-    println!(
-        "accept→verdict:   p50 {} ns, p99 {} ns over {} verdicts",
-        stats.accept_to_verdict.p50().unwrap_or(0),
-        stats.accept_to_verdict.p99().unwrap_or(0),
-        stats.accept_to_verdict.count()
-    );
-    println!("stage latency (server-side ns):");
-    println!("  {:<12} {:>9}  {:>8}  {:>8}", "stage", "n", "p50", "p99");
-    for stage in Stage::ALL {
-        let h = stats.stage(stage);
-        println!(
-            "  {:<12} {:>9}  {:>8}  {:>8}",
-            stage.name(),
-            h.count(),
-            h.p50().map_or_else(|| "-".into(), |v| v.to_string()),
-            h.p99().map_or_else(|| "-".into(), |v| v.to_string()),
-        );
-    }
+    println!("server stats:");
+    print!("{stats}");
 
     client.close().expect("close");
     server.shutdown();

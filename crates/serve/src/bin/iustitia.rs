@@ -33,7 +33,7 @@ use iustitia::pipeline::{Iustitia, PipelineConfig, Verdict};
 use iustitia_corpus::CorpusBuilder;
 use iustitia_entropy::{entropy_vector, FeatureWidths, BATTERY_FEATURES};
 use iustitia_netsim::{ContentMode, Packet, TraceConfig, TraceGenerator};
-use iustitia_serve::{AdmissionPolicy, Client, ClientEvent, Server, ServerConfig, Stage};
+use iustitia_serve::{AdmissionPolicy, Client, ClientEvent, Server, ServerConfig};
 
 const USAGE: &str = "\
 usage:
@@ -316,36 +316,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         println!("udp datagram ingest on {udp}");
     }
 
-    // Periodic one-line stats until the process is killed.
+    // Periodic text exposition until the process is killed.
     loop {
         std::thread::sleep(Duration::from_secs(interval.max(1)));
-        let s = server.stats();
-        let classify_p50 = s.stage(Stage::Classify).p50().unwrap_or(0);
-        eprintln!(
-            "packets={} hits={} flows={} busy={} dropped={} conns={} open={} udp={} \
-             classify_p50={}ns accept_to_verdict_p50={}ns pending={} resident={}B \
-             reassembly={}B pool_hits={} pool_size={} batch_p50={} queue_locks={} \
-             early_exit={} verdict_bytes_p50={}B",
-            s.packets,
-            s.hits,
-            s.flows_classified,
-            s.busy_rejects,
-            s.dropped_oldest,
-            s.connections,
-            s.open_connections,
-            s.udp_datagrams,
-            classify_p50,
-            s.accept_to_verdict.p50().unwrap_or(0),
-            s.pending_flows(),
-            s.resident_feature_bytes(),
-            s.reassembly_buffer_bytes,
-            s.state_pool_hits(),
-            s.state_pool_size(),
-            s.batch_size.p50().unwrap_or(0),
-            s.queue_lock_acquisitions,
-            s.early_exit_verdicts(),
-            s.bytes_at_verdict.p50().unwrap_or(0),
-        );
+        eprintln!("{}", server.stats());
     }
 }
 
@@ -390,43 +364,8 @@ fn cmd_bench_client(args: &Args) -> Result<(), String> {
     println!("throughput:       {:.0} packets/s", packets.len() as f64 / elapsed);
     println!("verdicts:         {verdicts}");
     println!("busy rejects:     {busy}");
-    println!("server packets:   {} (hits {})", stats.packets, stats.hits);
-    println!(
-        "pending flows:    {} ({} B resident feature state across {} shards)",
-        stats.pending_flows(),
-        stats.resident_feature_bytes(),
-        stats.shards.len(),
-    );
-    println!(
-        "state pool:       {} recycled flow states ({} parked)",
-        stats.state_pool_hits(),
-        stats.state_pool_size(),
-    );
-    println!(
-        "batch dispatch:   {} segments, p50 size {} ({} distinct-flow p50), {} queue locks",
-        stats.batch_size.count(),
-        stats.batch_size.p50().unwrap_or(0),
-        stats.flows_per_batch.p50().unwrap_or(0),
-        stats.queue_lock_acquisitions,
-    );
-    println!(
-        "bytes at verdict: p50 {}B p99 {}B over {} verdicts ({} anytime early exits)",
-        stats.bytes_at_verdict.p50().unwrap_or(0),
-        stats.bytes_at_verdict.p99().unwrap_or(0),
-        stats.bytes_at_verdict.count(),
-        stats.early_exit_verdicts(),
-    );
-    println!("stage latency (server-side, approximate ns):");
-    for stage in Stage::ALL {
-        let h = stats.stage(stage);
-        println!(
-            "  {:<12} n={:<9} p50={:<8} p99={}",
-            stage.name(),
-            h.count(),
-            h.p50().map_or_else(|| "-".into(), |v| v.to_string()),
-            h.p99().map_or_else(|| "-".into(), |v| v.to_string()),
-        );
-    }
+    println!("server stats:");
+    print!("{stats}");
     client.close().map_err(|e| e.to_string())?;
     Ok(())
 }

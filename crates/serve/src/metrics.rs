@@ -1,5 +1,22 @@
-//! Live service metrics: atomic counters and per-stage latency
+//! Live service metrics: atomic counters, per-shard gauges and latency
 //! histograms, snapshotted on demand by the `Stats` request.
+//!
+//! Every metric is declared once, as one row of the registry table at
+//! the bottom of this module: its doc comment, its name and its unit,
+//! in a `counters`, `histograms` or `shard_gauges` section. From that
+//! table `registry!` generates the live atomics ([`ServeMetrics`],
+//! [`ShardGauges`]), their point-in-time copies ([`StatsSnapshot`],
+//! [`ShardStats`]), `snapshot()`, the per-shard totals, the wire codec
+//! and the text exposition ([`StatsSnapshot`]'s `Display`). Adding a
+//! metric is one row plus the code that records it.
+//!
+//! The `Stats` wire body is positional: the [`WIRE_LAYOUT`] word, then
+//! every counter, every histogram's buckets, and the shard section
+//! (shard count, then each shard's gauges), all big-endian `u64` in
+//! row order. [`WIRE_LAYOUT`] is an FNV-1a hash of the rows' kinds and
+//! names (and the bucket count), computed at compile time, so adding,
+//! removing, renaming or reordering a row fails a mismatched peer's
+//! decode loudly instead of silently shifting words.
 //!
 //! Latencies use power-of-two bucketed histograms (bucket `i` holds
 //! samples in `[2^i, 2^(i+1))` nanoseconds), so recording is a single
@@ -8,9 +25,10 @@
 //! the classic HdrHistogram-style tradeoff, reduced to its cheapest
 //! form.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::proto::ProtoError;
+use crate::proto::{FieldReader, ProtoError};
 
 /// Number of power-of-two buckets: covers 1 ns .. ~585 years.
 pub const BUCKETS: usize = 64;
@@ -40,19 +58,17 @@ pub enum Stage {
     Classify = 3,
 }
 
-impl Stage {
-    /// All stages, index order.
-    pub const ALL: [Stage; 4] = [Stage::Hash, Stage::CdbLookup, Stage::BufferFill, Stage::Classify];
-
-    /// Stable snake_case name, used in CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Hash => "hash",
-            Stage::CdbLookup => "cdb_lookup",
-            Stage::BufferFill => "buffer_fill",
-            Stage::Classify => "classify",
+/// The histogram row a [`Stage`] records into, on either the live
+/// [`ServeMetrics`] or a [`StatsSnapshot`] (both carry the same rows).
+macro_rules! stage_row {
+    ($metrics:expr, $stage:expr) => {
+        match $stage {
+            Stage::Hash => &$metrics.hash,
+            Stage::CdbLookup => &$metrics.cdb_lookup,
+            Stage::BufferFill => &$metrics.buffer_fill,
+            Stage::Classify => &$metrics.classify,
         }
-    }
+    };
 }
 
 /// Lock-free latency histogram with power-of-two buckets.
@@ -145,99 +161,204 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
     }
-}
 
-/// Per-shard gauges, refreshed by each shard worker after every batch
-/// it drains.
-///
-/// Unlike the monotone counters these are *levels*: `pending_flows`
-/// mirrors [`Iustitia::pending_flows`] and `resident_feature_bytes`
-/// mirrors [`Iustitia::resident_feature_bytes`] for the shard's
-/// pipeline, so an operator can watch the streaming pipeline's
-/// per-flow memory instead of inferring it from `b × pending`.
-///
-/// [`Iustitia::pending_flows`]: iustitia::Iustitia::pending_flows
-/// [`Iustitia::resident_feature_bytes`]: iustitia::Iustitia::resident_feature_bytes
-#[derive(Debug, Default)]
-pub struct ShardGauges {
-    /// Flows currently buffered in this shard, awaiting a verdict.
-    pub pending_flows: AtomicU64,
-    /// Estimated heap bytes resident across this shard's pending
-    /// flows (feature counters + header staging).
-    pub resident_feature_bytes: AtomicU64,
-    /// Flows whose feature state was recycled from the shard
-    /// pipeline's free list instead of freshly allocated.
-    pub state_pool_hits: AtomicU64,
-    /// Feature states currently parked on the shard pipeline's free
-    /// list.
-    pub state_pool_size: AtomicU64,
-    /// Verdicts this shard's pipeline emitted from an anytime probe
-    /// before the fixed-`b` buffer filled (mirrors
-    /// `Iustitia::early_exit_verdicts`; stays 0 with anytime off).
-    pub early_exit_verdicts: AtomicU64,
-}
-
-impl ShardGauges {
-    /// Stores all gauge levels (Relaxed; the values are advisory).
-    pub fn set(&self, pending: u64, resident: u64, pool_hits: u64, pool_size: u64, early: u64) {
-        self.pending_flows.store(pending, Ordering::Relaxed);
-        self.resident_feature_bytes.store(resident, Ordering::Relaxed);
-        self.state_pool_hits.store(pool_hits, Ordering::Relaxed);
-        self.state_pool_size.store(pool_size, Ordering::Relaxed);
-        self.early_exit_verdicts.store(early, Ordering::Relaxed);
+    /// Writes the histogram's exposition lines: `<name>_count`, then
+    /// `<name>_p50_<unit>` and `<name>_p99_<unit>` (`NaN` when empty).
+    fn expose(&self, f: &mut fmt::Formatter<'_>, name: &str, unit: &str) -> fmt::Result {
+        writeln!(f, "{name}_count {}", self.count())?;
+        for (label, value) in [("p50", self.p50()), ("p99", self.p99())] {
+            match value {
+                Some(v) => writeln!(f, "{name}_{label}_{unit} {v}")?,
+                None => writeln!(f, "{name}_{label}_{unit} NaN")?,
+            }
+        }
+        Ok(())
     }
 }
 
-/// Live counters and histograms for a running server.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Packets accepted into shard queues.
-    pub packets: AtomicU64,
-    /// CDB hits on the packet path.
-    pub hits: AtomicU64,
-    /// Flows classified (one verdict each).
-    pub flows_classified: AtomicU64,
-    /// Packets rejected with `Busy` (RejectBusy admission).
-    pub busy_rejects: AtomicU64,
-    /// Packets evicted from full queues (DropOldest admission).
-    pub dropped_oldest: AtomicU64,
-    /// One-shot `ClassifyBuffer` requests served.
-    pub classify_requests: AtomicU64,
-    /// `Drain` barriers completed.
-    pub drains: AtomicU64,
-    /// Connections accepted since start.
-    pub connections: AtomicU64,
-    /// UDP datagrams ingested by the reactor's datagram adapter.
-    pub udp_datagrams: AtomicU64,
-    /// Gauge: connections currently registered with the reactor
-    /// (TCP sockets plus live UDP pseudo-peers).
-    pub open_connections: AtomicU64,
-    /// Gauge: bytes parked in per-connection reassembly buffers
-    /// (partial frames awaiting more reads), summed over connections.
-    pub reassembly_buffer_bytes: AtomicU64,
-    /// Per-stage latency histograms, indexed by [`Stage`].
-    pub stages: [LatencyHistogram; 4],
-    /// Accept-to-verdict latency: time from a connection's accept (or
-    /// a UDP peer's first datagram) to each flow verdict written back
-    /// on it, in nanoseconds.
-    pub accept_to_verdict: LatencyHistogram,
-    /// Packets per batch dispatched into a shard pipeline (the
-    /// power-of-two buckets hold batch sizes, not nanoseconds). A
-    /// healthy batching path shows mass well above bucket 0.
-    pub batch_size: LatencyHistogram,
-    /// Distinct flows per dispatched batch. Together with
-    /// [`batch_size`](Self::batch_size) this shows the amortization
-    /// ratio: packets-per-flow-group per batch.
-    pub flows_per_batch: LatencyHistogram,
-    /// Buffered bytes at the moment each flow got its verdict (the
-    /// power-of-two buckets hold byte counts, not nanoseconds). With
-    /// anytime early exit enabled the mass sits below `b`; without it
-    /// every full-buffer verdict lands at `b` and only idle/close
-    /// leftovers fall short.
-    pub bytes_at_verdict: LatencyHistogram,
-    /// Per-shard gauges, indexed by shard id (empty until
-    /// [`with_shards`](Self::with_shards)).
-    pub shards: Vec<ShardGauges>,
+/// FNV-1a over `bytes`, continuing from `hash` (a `const fn`, so the
+/// wire layout word is computed at compile time).
+const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+        i += 1;
+    }
+    hash
+}
+
+/// Generates every metric type and method from the registry table.
+///
+/// Each row is `/// doc` + `name: "unit",`. Counters (monotone totals
+/// and reactor-level gauges) are one `AtomicU64` each; histograms are
+/// one [`LatencyHistogram`] each; shard gauges are one `AtomicU64` per
+/// shard, summed across shards by a same-named [`StatsSnapshot`]
+/// method.
+macro_rules! registry {
+    (
+        counters { $( $(#[$cmeta:meta])* $counter:ident: $cunit:literal, )* }
+        histograms { $( $(#[$hmeta:meta])* $hist:ident: $hunit:literal, )* }
+        shard_gauges { $( $(#[$gmeta:meta])* $gauge:ident: $gunit:literal, )* }
+    ) => {
+        /// Leading word of the `Stats` wire body: an FNV-1a hash of
+        /// every registry row's kind and name, in order, and of the
+        /// histogram bucket count. Peers built from different
+        /// registries disagree on it and refuse each other's stats.
+        pub const WIRE_LAYOUT: u64 = fnv1a(
+            fnv1a(
+                0xcbf2_9ce4_8422_2325,
+                concat!(
+                    $( "counter ", stringify!($counter), ";", )*
+                    $( "histogram ", stringify!($hist), ";", )*
+                    $( "shard_gauge ", stringify!($gauge), ";", )*
+                )
+                .as_bytes(),
+            ),
+            &(BUCKETS as u64).to_be_bytes(),
+        );
+
+        /// Gauges per shard in the wire's shard section.
+        const SHARD_GAUGES: usize = [$( stringify!($gauge) ),*].len();
+
+        /// Per-shard gauges, refreshed by each shard worker after every
+        /// batch it drains. Unlike the counters these are *levels*
+        /// mirrored from the shard's pipeline.
+        #[derive(Debug, Default)]
+        pub struct ShardGauges {
+            $( $(#[$gmeta])* #[doc = concat!("\n\nUnit: ", $gunit, ".")] pub $gauge: AtomicU64, )*
+        }
+
+        /// Point-in-time copy of one shard's gauges.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct ShardStats {
+            $( $(#[$gmeta])* #[doc = concat!("\n\nUnit: ", $gunit, ".")] pub $gauge: u64, )*
+        }
+
+        /// Live counters and histograms for a running server.
+        #[derive(Debug, Default)]
+        pub struct ServeMetrics {
+            $( $(#[$cmeta])* #[doc = concat!("\n\nUnit: ", $cunit, ".")] pub $counter: AtomicU64, )*
+            $( $(#[$hmeta])* #[doc = concat!("\n\nUnit: ", $hunit, ".")] pub $hist: LatencyHistogram, )*
+            /// Per-shard gauges, indexed by shard id (empty until
+            /// [`with_shards`](Self::with_shards)).
+            pub shards: Vec<ShardGauges>,
+        }
+
+        /// Point-in-time copy of all server metrics, as returned by the
+        /// `Stats` request. Its `Display` is the text exposition: one
+        /// `name value` line per counter and per shard-gauge total,
+        /// then `name_count`, `name_p50_<unit>` and `name_p99_<unit>`
+        /// per histogram.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $( $(#[$cmeta])* #[doc = concat!("\n\nUnit: ", $cunit, ".")] pub $counter: u64, )*
+            $( $(#[$hmeta])* #[doc = concat!("\n\nUnit: ", $hunit, ".")] pub $hist: HistogramSnapshot, )*
+            /// Per-shard gauges, indexed by shard id.
+            pub shards: Vec<ShardStats>,
+        }
+
+        impl ShardGauges {
+            /// Stores all gauge levels (Relaxed; the values are
+            /// advisory).
+            pub fn store(&self, levels: ShardStats) {
+                $( self.$gauge.store(levels.$gauge, Ordering::Relaxed); )*
+            }
+        }
+
+        impl ServeMetrics {
+            /// Copies every counter, histogram and shard gauge.
+            ///
+            /// `queue_lock_acquisitions` lives on the shard queues, not
+            /// in this block; the server fills it in via
+            /// [`StatsSnapshot::with_queue_locks`].
+            #[must_use]
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $( $counter: self.$counter.load(Ordering::Relaxed), )*
+                    $( $hist: self.$hist.snapshot(), )*
+                    shards: self
+                        .shards
+                        .iter()
+                        .map(|g| ShardStats { $( $gauge: g.$gauge.load(Ordering::Relaxed), )* })
+                        .collect(),
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            $(
+                #[doc = concat!("`", stringify!($gauge), "` summed across all shards.")]
+                #[must_use]
+                pub fn $gauge(&self) -> u64 {
+                    self.shards.iter().map(|s| s.$gauge).sum()
+                }
+            )*
+
+            /// Wire encoding, big-endian `u64`s: [`WIRE_LAYOUT`], every
+            /// counter, every histogram's buckets, the shard count and
+            /// each shard's gauges, all in registry order.
+            pub fn encode_into(&self, out: &mut Vec<u8>) {
+                let mut put = |word: u64| out.extend_from_slice(&word.to_be_bytes());
+                put(WIRE_LAYOUT);
+                $( put(self.$counter); )*
+                $( self.$hist.buckets.iter().for_each(|&b| put(b)); )*
+                put(self.shards.len() as u64);
+                for shard in &self.shards {
+                    $( put(shard.$gauge); )*
+                }
+            }
+
+            /// Inverse of [`encode_into`](Self::encode_into).
+            ///
+            /// # Errors
+            ///
+            /// Returns [`ProtoError::Malformed`] if the body is
+            /// truncated, leads with another registry's layout word, or
+            /// declares more shards than the rest of the body can hold.
+            pub(crate) fn decode(r: &mut FieldReader<'_>) -> Result<Self, ProtoError> {
+                let layout = r.u64()?;
+                if layout != WIRE_LAYOUT {
+                    return Err(ProtoError::Malformed(format!(
+                        "stats layout {layout:#018x}, this build speaks {WIRE_LAYOUT:#018x}"
+                    )));
+                }
+                let mut snapshot = StatsSnapshot {
+                    $( $counter: r.u64()?, )*
+                    ..StatsSnapshot::default()
+                };
+                $(
+                    for bucket in &mut snapshot.$hist.buckets {
+                        *bucket = r.u64()?;
+                    }
+                )*
+                let count = r.u64()?;
+                let left = r.remaining();
+                let fits = usize::try_from(count)
+                    .ok()
+                    .and_then(|c| c.checked_mul(8 * SHARD_GAUGES))
+                    .is_some_and(|need| need <= left);
+                if !fits {
+                    return Err(ProtoError::Malformed(format!(
+                        "shard count {count} exceeds the {left} bytes left in the stats body"
+                    )));
+                }
+                snapshot.shards = (0..count)
+                    .map(|_| Ok(ShardStats { $( $gauge: r.u64()?, )* }))
+                    .collect::<Result<_, ProtoError>>()?;
+                Ok(snapshot)
+            }
+        }
+
+        impl fmt::Display for StatsSnapshot {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                $( writeln!(f, concat!(stringify!($counter), " {}"), self.$counter)?; )*
+                $( writeln!(f, concat!(stringify!($gauge), " {}"), self.$gauge())?; )*
+                $( self.$hist.expose(f, stringify!($hist), $hunit)?; )*
+                Ok(())
+            }
+        }
+    };
 }
 
 impl ServeMetrics {
@@ -260,132 +381,15 @@ impl ServeMetrics {
     /// Records `n` stage latency samples of `nanos` each (a batch's
     /// mean per packet, once for each of its `n` packets).
     pub fn record_n(&self, stage: Stage, nanos: u64, n: u64) {
-        // lint: allow(L008) — stages has one slot per Stage variant
-        self.stages[stage as usize].record_n(nanos, n);
-    }
-
-    /// Copies every counter and histogram.
-    ///
-    /// `queue_lock_acquisitions` lives on the shard queues, not in this
-    /// block; the server fills it in via
-    /// [`StatsSnapshot::with_queue_locks`].
-    #[must_use]
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            packets: self.packets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            flows_classified: self.flows_classified.load(Ordering::Relaxed),
-            busy_rejects: self.busy_rejects.load(Ordering::Relaxed),
-            dropped_oldest: self.dropped_oldest.load(Ordering::Relaxed),
-            classify_requests: self.classify_requests.load(Ordering::Relaxed),
-            drains: self.drains.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            udp_datagrams: self.udp_datagrams.load(Ordering::Relaxed),
-            open_connections: self.open_connections.load(Ordering::Relaxed),
-            reassembly_buffer_bytes: self.reassembly_buffer_bytes.load(Ordering::Relaxed),
-            queue_lock_acquisitions: 0,
-            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
-            accept_to_verdict: self.accept_to_verdict.snapshot(),
-            batch_size: self.batch_size.snapshot(),
-            flows_per_batch: self.flows_per_batch.snapshot(),
-            bytes_at_verdict: self.bytes_at_verdict.snapshot(),
-            shards: self
-                .shards
-                .iter()
-                .map(|g| ShardStats {
-                    pending_flows: g.pending_flows.load(Ordering::Relaxed),
-                    resident_feature_bytes: g.resident_feature_bytes.load(Ordering::Relaxed),
-                    state_pool_hits: g.state_pool_hits.load(Ordering::Relaxed),
-                    state_pool_size: g.state_pool_size.load(Ordering::Relaxed),
-                    early_exit_verdicts: g.early_exit_verdicts.load(Ordering::Relaxed),
-                })
-                .collect(),
-        }
+        stage_row!(self, stage).record_n(nanos, n);
     }
 }
-
-/// Point-in-time copy of one shard's gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Flows currently buffered in this shard, awaiting a verdict.
-    pub pending_flows: u64,
-    /// Estimated heap bytes resident across this shard's pending
-    /// flows (feature counters + header staging).
-    pub resident_feature_bytes: u64,
-    /// Flows whose feature state was recycled from the shard
-    /// pipeline's free list instead of freshly allocated.
-    pub state_pool_hits: u64,
-    /// Feature states currently parked on the shard pipeline's free
-    /// list.
-    pub state_pool_size: u64,
-    /// Verdicts this shard emitted from an anytime probe before the
-    /// fixed-`b` buffer filled.
-    pub early_exit_verdicts: u64,
-}
-
-/// Point-in-time copy of all server metrics, as returned by the
-/// `Stats` request.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Packets accepted into shard queues.
-    pub packets: u64,
-    /// CDB hits on the packet path.
-    pub hits: u64,
-    /// Flows classified (one verdict each).
-    pub flows_classified: u64,
-    /// Packets rejected with `Busy`.
-    pub busy_rejects: u64,
-    /// Packets evicted from full queues.
-    pub dropped_oldest: u64,
-    /// One-shot classification requests served.
-    pub classify_requests: u64,
-    /// Drain barriers completed.
-    pub drains: u64,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// UDP datagrams ingested by the reactor's datagram adapter.
-    pub udp_datagrams: u64,
-    /// Gauge: connections currently registered with the reactor.
-    pub open_connections: u64,
-    /// Gauge: bytes parked in per-connection reassembly buffers.
-    pub reassembly_buffer_bytes: u64,
-    /// Shard-queue mutex acquisitions, summed over all shard queues.
-    /// Compare against `packets` to see the batch amortization: the
-    /// ratio stays far below one acquisition per packet.
-    pub queue_lock_acquisitions: u64,
-    /// Per-stage histograms, indexed by [`Stage`].
-    pub stages: [HistogramSnapshot; 4],
-    /// Accept-to-verdict latency per flow verdict, in nanoseconds.
-    pub accept_to_verdict: HistogramSnapshot,
-    /// Packets per dispatched batch (bucket index is `log2(size)`).
-    pub batch_size: HistogramSnapshot,
-    /// Distinct flows per dispatched batch.
-    pub flows_per_batch: HistogramSnapshot,
-    /// Buffered bytes at the moment of each flow verdict (bucket index
-    /// is `log2(bytes)`).
-    pub bytes_at_verdict: HistogramSnapshot,
-    /// Per-shard gauges, indexed by shard id.
-    pub shards: Vec<ShardStats>,
-}
-
-/// Upper bound on the shard count accepted when decoding a snapshot
-/// (guards allocation against a corrupt length word).
-const MAX_WIRE_SHARDS: u64 = 65_536;
-
-/// Version word leading the stats wire encoding. Bumped whenever
-/// fields are added, removed, or reordered, so a client and server
-/// from different sides of a format change fail the decode loudly
-/// instead of silently misreading shifted words. Version 2 added the
-/// `udp_datagrams`/`open_connections`/`reassembly_buffer_bytes`
-/// gauges and the accept-to-verdict histogram. Version 3 added the
-/// bytes-at-verdict histogram and the per-shard early-exit gauge.
-const STATS_WIRE_VERSION: u64 = 3;
 
 impl StatsSnapshot {
     /// Histogram for one stage.
     #[must_use]
     pub fn stage(&self, stage: Stage) -> &HistogramSnapshot {
-        &self.stages[stage as usize]
+        stage_row!(self, stage)
     }
 
     /// Fills in the queue-lock counter (summed across shard queues by
@@ -395,140 +399,88 @@ impl StatsSnapshot {
         self.queue_lock_acquisitions = acquisitions;
         self
     }
+}
 
-    /// Total pending flows across all shards.
-    #[must_use]
-    pub fn pending_flows(&self) -> u64 {
-        self.shards.iter().map(|s| s.pending_flows).sum()
+registry! {
+    counters {
+        /// Packets accepted into shard queues.
+        packets: "packets",
+        /// CDB hits on the packet path.
+        hits: "packets",
+        /// Flows classified (one verdict each).
+        flows_classified: "flows",
+        /// Packets rejected with `Busy` (RejectBusy admission).
+        busy_rejects: "packets",
+        /// Packets evicted from full queues (DropOldest admission).
+        dropped_oldest: "packets",
+        /// One-shot `ClassifyBuffer` requests served.
+        classify_requests: "requests",
+        /// `Drain` barriers completed.
+        drains: "barriers",
+        /// Connections accepted since start.
+        connections: "connections",
+        /// UDP datagrams ingested by the reactor's datagram adapter.
+        udp_datagrams: "datagrams",
+        /// Gauge: connections currently registered with the reactor
+        /// (TCP sockets plus live UDP pseudo-peers).
+        open_connections: "connections",
+        /// Gauge: bytes parked in per-connection reassembly buffers
+        /// (partial frames awaiting more reads), summed over connections.
+        reassembly_buffer_bytes: "bytes",
+        /// Shard-queue mutex acquisitions, summed over all shard queues
+        /// at snapshot time (the live atomic stays 0; see
+        /// [`StatsSnapshot::with_queue_locks`]). Compare against
+        /// `packets` to see the batch amortization: the ratio stays far
+        /// below one acquisition per packet.
+        queue_lock_acquisitions: "acquisitions",
     }
-
-    /// Total resident feature-state bytes across all shards.
-    #[must_use]
-    pub fn resident_feature_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.resident_feature_bytes).sum()
+    histograms {
+        /// [`Stage::Hash`] latency per data packet.
+        hash: "ns",
+        /// [`Stage::CdbLookup`] latency per data packet.
+        cdb_lookup: "ns",
+        /// [`Stage::BufferFill`] latency per data packet.
+        buffer_fill: "ns",
+        /// [`Stage::Classify`] latency per data packet (and per
+        /// one-shot `ClassifyBuffer` request).
+        classify: "ns",
+        /// Accept-to-verdict latency: time from a connection's accept
+        /// (or a UDP peer's first datagram) to each flow verdict written
+        /// back on it.
+        accept_to_verdict: "ns",
+        /// Packets per batch dispatched into a shard pipeline (the
+        /// power-of-two buckets hold batch sizes, not nanoseconds). A
+        /// healthy batching path shows mass well above bucket 0.
+        batch_size: "packets",
+        /// Distinct flows per dispatched batch. Together with
+        /// `batch_size` this shows the amortization ratio:
+        /// packets-per-flow-group per batch.
+        flows_per_batch: "flows",
+        /// Buffered bytes at the moment each flow got its verdict (the
+        /// power-of-two buckets hold byte counts). With anytime early
+        /// exit enabled the mass sits below `b`; without it every
+        /// full-buffer verdict lands at `b` and only idle/close
+        /// leftovers fall short.
+        bytes_at_verdict: "bytes",
     }
-
-    /// Total pool-recycled flow states across all shards.
-    #[must_use]
-    pub fn state_pool_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.state_pool_hits).sum()
-    }
-
-    /// Total parked feature states across all shards.
-    #[must_use]
-    pub fn state_pool_size(&self) -> u64 {
-        self.shards.iter().map(|s| s.state_pool_size).sum()
-    }
-
-    /// Total anytime early-exit verdicts across all shards.
-    #[must_use]
-    pub fn early_exit_verdicts(&self) -> u64 {
-        self.shards.iter().map(|s| s.early_exit_verdicts).sum()
-    }
-
-    /// Wire encoding: the [`STATS_WIRE_VERSION`] word, the twelve
-    /// counters/gauges, the four stage histograms, the
-    /// accept-to-verdict histogram, the two batch-shape histograms,
-    /// the bytes-at-verdict histogram, then the shard-gauge section
-    /// (shard count followed by five gauges per shard), all as
-    /// big-endian `u64`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        for v in [
-            STATS_WIRE_VERSION,
-            self.packets,
-            self.hits,
-            self.flows_classified,
-            self.busy_rejects,
-            self.dropped_oldest,
-            self.classify_requests,
-            self.drains,
-            self.connections,
-            self.udp_datagrams,
-            self.open_connections,
-            self.reassembly_buffer_bytes,
-            self.queue_lock_acquisitions,
-        ] {
-            out.extend_from_slice(&v.to_be_bytes());
-        }
-        for hist in self.stages.iter().chain([
-            &self.accept_to_verdict,
-            &self.batch_size,
-            &self.flows_per_batch,
-            &self.bytes_at_verdict,
-        ]) {
-            for &bucket in &hist.buckets {
-                out.extend_from_slice(&bucket.to_be_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.shards.len() as u64).to_be_bytes());
-        for shard in &self.shards {
-            out.extend_from_slice(&shard.pending_flows.to_be_bytes());
-            out.extend_from_slice(&shard.resident_feature_bytes.to_be_bytes());
-            out.extend_from_slice(&shard.state_pool_hits.to_be_bytes());
-            out.extend_from_slice(&shard.state_pool_size.to_be_bytes());
-            out.extend_from_slice(&shard.early_exit_verdicts.to_be_bytes());
-        }
-    }
-
-    /// Inverse of [`encode_into`](Self::encode_into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtoError::Malformed`] if the body is truncated,
-    /// carries an unknown format version, or declares an implausible
-    /// shard count.
-    pub(crate) fn decode(r: &mut crate::proto::FieldReader<'_>) -> Result<Self, ProtoError> {
-        let version = r.u64()?;
-        if version != STATS_WIRE_VERSION {
-            return Err(ProtoError::Malformed(format!(
-                "stats snapshot version {version}, this build speaks {STATS_WIRE_VERSION}"
-            )));
-        }
-        let mut snapshot = StatsSnapshot {
-            packets: r.u64()?,
-            hits: r.u64()?,
-            flows_classified: r.u64()?,
-            busy_rejects: r.u64()?,
-            dropped_oldest: r.u64()?,
-            classify_requests: r.u64()?,
-            drains: r.u64()?,
-            connections: r.u64()?,
-            udp_datagrams: r.u64()?,
-            open_connections: r.u64()?,
-            reassembly_buffer_bytes: r.u64()?,
-            queue_lock_acquisitions: r.u64()?,
-            stages: Default::default(),
-            accept_to_verdict: HistogramSnapshot::default(),
-            batch_size: HistogramSnapshot::default(),
-            flows_per_batch: HistogramSnapshot::default(),
-            bytes_at_verdict: HistogramSnapshot::default(),
-            shards: Vec::new(),
-        };
-        for hist in snapshot.stages.iter_mut().chain([
-            &mut snapshot.accept_to_verdict,
-            &mut snapshot.batch_size,
-            &mut snapshot.flows_per_batch,
-            &mut snapshot.bytes_at_verdict,
-        ]) {
-            for bucket in &mut hist.buckets {
-                *bucket = r.u64()?;
-            }
-        }
-        let shard_count = r.u64()?;
-        if shard_count > MAX_WIRE_SHARDS {
-            return Err(ProtoError::Malformed("implausible shard count".into()));
-        }
-        snapshot.shards.reserve(shard_count as usize);
-        for _ in 0..shard_count {
-            snapshot.shards.push(ShardStats {
-                pending_flows: r.u64()?,
-                resident_feature_bytes: r.u64()?,
-                state_pool_hits: r.u64()?,
-                state_pool_size: r.u64()?,
-                early_exit_verdicts: r.u64()?,
-            });
-        }
-        Ok(snapshot)
+    shard_gauges {
+        /// Flows currently buffered in this shard, awaiting a verdict
+        /// (mirrors `Iustitia::pending_flows`).
+        pending_flows: "flows",
+        /// Estimated heap bytes resident across this shard's pending
+        /// flows: feature counters + header staging (mirrors
+        /// `Iustitia::resident_feature_bytes`).
+        resident_feature_bytes: "bytes",
+        /// Flows whose feature state was recycled from the shard
+        /// pipeline's free list instead of freshly allocated.
+        state_pool_hits: "flows",
+        /// Feature states currently parked on the shard pipeline's free
+        /// list.
+        state_pool_size: "states",
+        /// Verdicts this shard's pipeline emitted from an anytime probe
+        /// before the fixed-`b` buffer filled (mirrors
+        /// `Iustitia::early_exit_verdicts`; stays 0 with anytime off).
+        early_exit_verdicts: "verdicts",
     }
 }
 
@@ -599,44 +551,63 @@ mod tests {
         assert_eq!(s.stage(Stage::Hash).count(), 0);
     }
 
+    /// Row counts of the registry: (counters, histograms, shard gauges).
+    const ROWS: (usize, usize, usize) = (12, 8, SHARD_GAUGES);
+
+    /// A snapshot of `shards` shards in which every registry row, and
+    /// every shard's copy of each gauge, holds a value no other row
+    /// holds.
+    fn distinct_snapshot(shards: usize) -> StatsSnapshot {
+        let mut body = Vec::new();
+        StatsSnapshot { shards: vec![ShardStats::default(); shards], ..Default::default() }
+            .encode_into(&mut body);
+        for (i, word) in body.chunks_exact_mut(8).enumerate().skip(1) {
+            word.copy_from_slice(&(1000 + i as u64).to_be_bytes());
+        }
+        let count_at = body.len() - 8 * (1 + shards * SHARD_GAUGES);
+        body[count_at..count_at + 8].copy_from_slice(&(shards as u64).to_be_bytes());
+        StatsSnapshot::decode(&mut FieldReader::new(&body)).unwrap()
+    }
+
     #[test]
     fn snapshot_wire_round_trip() {
-        let m = ServeMetrics::with_shards(3);
+        for shards in [0, 1, 3] {
+            let snapshot = distinct_snapshot(shards);
+            let mut body = Vec::new();
+            snapshot.encode_into(&mut body);
+            // Version 3's size: layout word, counters, histograms, shard
+            // count, five gauges per shard.
+            assert_eq!(body.len(), 8 * (1 + 12 + 8 * 64 + 1 + 5 * shards));
+            let mut reader = FieldReader::new(&body);
+            let back = StatsSnapshot::decode(&mut reader).unwrap();
+            reader.finish().unwrap();
+            assert_eq!(back, snapshot);
+        }
+
+        // Every row carries its own value through the live metrics too.
+        let m = ServeMetrics::with_shards(2);
         ServeMetrics::add(&m.packets, 12345);
-        ServeMetrics::add(&m.dropped_oldest, 7);
-        ServeMetrics::add(&m.udp_datagrams, 31);
         m.open_connections.store(1000, Ordering::Relaxed);
-        m.reassembly_buffer_bytes.store(4096, Ordering::Relaxed);
-        m.record(Stage::Hash, 250);
         m.record(Stage::BufferFill, 999);
-        m.accept_to_verdict.record(1_500_000);
-        m.batch_size.record(64);
-        m.batch_size.record(3);
-        m.flows_per_batch.record(5);
         m.bytes_at_verdict.record(512);
-        m.bytes_at_verdict.record(32);
-        m.shards[0].set(4, 4 * 2240, 120, 9, 17);
-        m.shards[2].set(1, 96, 41, 2, 5);
-        let snapshot = m.snapshot().with_queue_locks(77);
-        let mut body = Vec::new();
-        snapshot.encode_into(&mut body);
-        let mut reader = crate::proto::FieldReader::new(&body);
-        let back = StatsSnapshot::decode(&mut reader).unwrap();
-        reader.finish().unwrap();
-        assert_eq!(back, snapshot);
-        assert_eq!(back.queue_lock_acquisitions, 77);
-        assert_eq!(back.udp_datagrams, 31);
-        assert_eq!(back.open_connections, 1000);
-        assert_eq!(back.reassembly_buffer_bytes, 4096);
-        assert_eq!(back.accept_to_verdict.count(), 1);
-        assert_eq!(back.batch_size.count(), 2);
-        assert_eq!(back.flows_per_batch.count(), 1);
-        assert_eq!(back.pending_flows(), 5);
-        assert_eq!(back.resident_feature_bytes(), 4 * 2240 + 96);
-        assert_eq!(back.state_pool_hits(), 161);
-        assert_eq!(back.state_pool_size(), 11);
-        assert_eq!(back.bytes_at_verdict.count(), 2);
-        assert_eq!(back.early_exit_verdicts(), 22);
+        m.shards[0].store(ShardStats {
+            pending_flows: 4,
+            early_exit_verdicts: 17,
+            ..Default::default()
+        });
+        m.shards[1].store(ShardStats {
+            state_pool_hits: 41,
+            early_exit_verdicts: 5,
+            ..Default::default()
+        });
+        let back = m.snapshot().with_queue_locks(77);
+        assert_eq!(
+            (back.packets, back.open_connections, back.queue_lock_acquisitions),
+            (12345, 1000, 77)
+        );
+        assert_eq!(back.stage(Stage::BufferFill).count(), 1);
+        assert_eq!((back.pending_flows(), back.state_pool_hits()), (4, 41));
+        assert_eq!((back.bytes_at_verdict.count(), back.early_exit_verdicts()), (1, 22));
     }
 
     #[test]
@@ -645,33 +616,53 @@ mod tests {
         assert!(snapshot.shards.is_empty());
         let mut body = Vec::new();
         snapshot.encode_into(&mut body);
-        let mut reader = crate::proto::FieldReader::new(&body);
+        let mut reader = FieldReader::new(&body);
         let back = StatsSnapshot::decode(&mut reader).unwrap();
         reader.finish().unwrap();
         assert_eq!(back, snapshot);
+
+        // Text exposition: one line per counter and gauge total, three
+        // per histogram; the anytime early-exit metrics stay exposed by
+        // name.
+        let text = distinct_snapshot(2).to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), ROWS.0 + ROWS.2 + 3 * ROWS.1, "{text}");
+        assert!(lines.iter().all(|l| l.split(' ').count() == 2), "{text}");
+        assert!(lines.contains(&"packets 1001"), "{text}");
+        assert!(lines.iter().any(|l| l.starts_with("early_exit_verdicts ")), "{text}");
+        for suffix in ["count", "p50_bytes", "p99_bytes"] {
+            let name = format!("bytes_at_verdict_{suffix} ");
+            assert!(lines.iter().any(|l| l.starts_with(&name)), "{name}missing:\n{text}");
+        }
+        assert!(snapshot.to_string().contains("\nhash_p50_ns NaN\n"));
     }
 
     #[test]
     fn decode_rejects_mismatched_version() {
         let mut body = Vec::new();
         StatsSnapshot::default().encode_into(&mut body);
-        // A peer from the other side of a format change: same payload,
-        // different leading version word.
-        body[..8].copy_from_slice(&(STATS_WIRE_VERSION + 1).to_be_bytes());
-        let mut reader = crate::proto::FieldReader::new(&body);
+        assert_eq!(body[..8], WIRE_LAYOUT.to_be_bytes());
+        // A peer built from another registry: same payload, different
+        // leading layout word.
+        body[..8].copy_from_slice(&(WIRE_LAYOUT ^ 1).to_be_bytes());
+        let mut reader = FieldReader::new(&body);
         let err = StatsSnapshot::decode(&mut reader).unwrap_err();
-        assert!(err.to_string().contains("version"), "got: {err}");
+        assert!(err.to_string().contains("layout"), "got: {err}");
     }
 
     #[test]
     fn decode_rejects_implausible_shard_count() {
         let mut body = Vec::new();
-        StatsSnapshot::default().encode_into(&mut body);
-        // Overwrite the shard-count word (last 8 bytes of an empty
-        // gauge section) with an absurd value.
-        let n = body.len();
-        body[n - 8..].copy_from_slice(&u64::MAX.to_be_bytes());
-        let mut reader = crate::proto::FieldReader::new(&body);
-        assert!(StatsSnapshot::decode(&mut reader).is_err());
+        distinct_snapshot(2).encode_into(&mut body);
+        let count_at = body.len() - 8 * (1 + 2 * SHARD_GAUGES);
+        // Two shards fit exactly; one more, or an absurd count, is
+        // rejected before any gauge is read or reserved.
+        for (count, ok) in [(2, true), (3, false), (u64::MAX, false)] {
+            body[count_at..count_at + 8].copy_from_slice(&u64::to_be_bytes(count));
+            match StatsSnapshot::decode(&mut FieldReader::new(&body)) {
+                Ok(s) => assert!(ok && s.shards.len() == 2),
+                Err(err) => assert!(!ok && err.to_string().contains("shard count"), "{err}"),
+            }
+        }
     }
 }

@@ -133,7 +133,7 @@ pub enum Response {
     ClassifyResult(FileClass),
     /// Answer to [`Request::Stats`].
     ///
-    /// Boxed: a snapshot carries four histograms and is far larger
+    /// Boxed: a snapshot carries eight histograms and is far larger
     /// than every other variant.
     Stats(Box<StatsSnapshot>),
     /// Answer to [`Request::Drain`]: flows flushed for this connection.
@@ -319,6 +319,11 @@ impl<'a> FieldReader<'a> {
             return Err(malformed(format!("unknown class index {idx}")));
         }
         Ok(FileClass::from_index(idx as usize))
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.body.len().saturating_sub(self.pos)
     }
 
     pub(crate) fn finish(self) -> Result<(), ProtoError> {

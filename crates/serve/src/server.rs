@@ -57,7 +57,7 @@ use iustitia::model::NatureModel;
 use iustitia::pipeline::{BatchPacket, Iustitia, PipelineConfig, Verdict};
 use iustitia_netsim::{FiveTuple, Packet};
 
-use crate::metrics::{ServeMetrics, ShardGauges, Stage};
+use crate::metrics::{ServeMetrics, ShardGauges, ShardStats, Stage};
 use crate::proto::{FlowVerdict, Response};
 use crate::queue::{AdmissionPolicy, BoundedQueue};
 use crate::reactor::{FanInGate, Outbox, Reactor};
@@ -541,13 +541,13 @@ impl Shard {
     /// Publishes this shard's pipeline gauges.
     fn publish(&self, gauges: &ShardGauges) {
         let p = &self.pipeline;
-        gauges.set(
-            p.pending_flows() as u64,
-            p.resident_feature_bytes() as u64,
-            p.state_pool_hits(),
-            p.state_pool_size() as u64,
-            p.early_exit_verdicts(),
-        );
+        gauges.store(ShardStats {
+            pending_flows: p.pending_flows() as u64,
+            resident_feature_bytes: p.resident_feature_bytes() as u64,
+            state_pool_hits: p.state_pool_hits(),
+            state_pool_size: p.state_pool_size() as u64,
+            early_exit_verdicts: p.early_exit_verdicts(),
+        });
     }
 }
 

@@ -7,7 +7,6 @@
 //! | L002 | no narrowing `as` casts (use `try_from`) | `serve/src/proto.rs` |
 //! | L003 | no `_ =>` arm in a `match` over `Request`/`Response` | `serve/src/{proto,server}.rs` |
 //! | L004 | no `println!` / `eprintln!` (metrics, not stdout) | `serve`/`core`/`entropy`/`ml`/`corpus` library code |
-//! | L005 | every `AtomicU64` counter of `ServeMetrics` appears in `StatsSnapshot` (and every `ShardGauges` gauge in `ShardStats`) | `serve/src/metrics.rs` |
 //! | L006 | no `.extend_from_slice(` onto per-flow buffers other than the bounded `staging` buffer | `core/src/pipeline.rs` |
 //! | L007 | no `std::collections::HashMap` (SipHash) — use `fastmap::FxHashMap` or `CounterTable` | `entropy` library code |
 //! | L008 | no panic site (panic!/unwrap/expect/`[]`/assert!) reachable from a declared hot-path root | whole workspace, interprocedural |
@@ -15,8 +14,10 @@
 //! | L010 | lock discipline: locks acquired in declared order, never re-acquired, never held across a channel send | `serve` library code |
 //! | L011 | no bare `+`/`*`/`+=`/`*=` on lengths and counters — use `checked_`/`wrapping_`/`saturating_` | `serve/src/proto.rs`, `entropy/src/fastmap.rs` |
 //!
-//! L001–L007 are per-token checks implemented in this module. L008–L011
-//! are interprocedural: [`crate::parser`] extracts per-function events,
+//! L001–L004, L006 and L007 are per-token checks implemented in this
+//! module. (L005, a metrics/snapshot parity check, is retired: the serve
+//! metrics are one generated registry, so the live and snapshot structs
+//! cannot drift.) L008–L011 are interprocedural: [`crate::parser`] extracts per-function events,
 //! [`crate::callgraph`] resolves calls across the workspace, and
 //! [`crate::analyses`] walks reachability from roots declared in
 //! `crates/xtask/roots.toml`.
@@ -71,7 +72,6 @@ pub const LINTS: &[(&str, &str)] = &[
     ("L002", "no narrowing `as` casts in serve/src/proto.rs; use try_from"),
     ("L003", "no `_ =>` wildcard arms in matches over Request/Response"),
     ("L004", "no println!/eprintln! in library code (bins exempt)"),
-    ("L005", "every ServeMetrics counter must appear in StatsSnapshot"),
     ("L006", "no unbounded payload accumulation in core pipeline (staging only)"),
     ("L007", "no SipHash HashMap in entropy library code; use fastmap"),
     ("L008", "no panic site reachable from a declared hot-path root (roots.toml)"),
@@ -87,7 +87,7 @@ pub struct Violation {
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// Lint id (`L001`..`L006`, or `E000` for a bad suppression).
+    /// Lint id (one of [`LINTS`], or `E000` for a bad suppression).
     pub lint: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -104,8 +104,7 @@ impl fmt::Display for Violation {
 pub fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     let in_scope = is_panic_free_scope(rel_path)
         || rel_path == "crates/serve/src/proto.rs"
-        || rel_path == "crates/serve/src/server.rs"
-        || rel_path == "crates/serve/src/metrics.rs";
+        || rel_path == "crates/serve/src/server.rs";
     if !in_scope {
         return Vec::new();
     }
@@ -123,9 +122,6 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Violation> {
     }
     if rel_path == "crates/serve/src/proto.rs" || rel_path == "crates/serve/src/server.rs" {
         raw.extend(l003_no_protocol_wildcards(rel_path, &lexed, &tests));
-    }
-    if rel_path == "crates/serve/src/metrics.rs" {
-        raw.extend(l005_metrics_drift(rel_path, &lexed));
     }
     if rel_path == "crates/core/src/pipeline.rs" {
         raw.extend(l006_no_payload_accumulation(rel_path, &lexed, &tests));
@@ -481,99 +477,6 @@ fn l004_no_println(rel_path: &str, lexed: &Lexed, tests: &[(u32, u32)]) -> Vec<V
     out
 }
 
-// ---------------------------------------------------------------- L005
-
-fn l005_metrics_drift(rel_path: &str, lexed: &Lexed) -> Vec<Violation> {
-    let counters = struct_fields(&lexed.tokens, "ServeMetrics");
-    let snapshot = struct_fields(&lexed.tokens, "StatsSnapshot");
-    let mut out = Vec::new();
-    if counters.is_empty() || snapshot.is_empty() {
-        // Renaming either struct without updating the lint would
-        // silently disable it; fail loudly instead.
-        out.push(Violation {
-            file: rel_path.to_string(),
-            line: 1,
-            lint: "L005",
-            message: "could not locate ServeMetrics/StatsSnapshot struct fields".to_string(),
-        });
-        return out;
-    }
-    for field in &counters {
-        if !field.type_text.contains("AtomicU64") && !field.type_text.contains("LatencyHistogram") {
-            continue;
-        }
-        if !snapshot.iter().any(|s| s.name == field.name) {
-            out.push(Violation {
-                file: rel_path.to_string(),
-                line: field.line,
-                lint: "L005",
-                message: format!(
-                    "metric `{}` is declared in ServeMetrics but missing from StatsSnapshot; \
-                     metric drift",
-                    field.name
-                ),
-            });
-        }
-    }
-    // The per-shard gauge pair drifts the same way the top-level pair
-    // does: either both structs exist with mirrored fields, or neither.
-    let gauges = struct_fields(&lexed.tokens, "ShardGauges");
-    let shard_stats = struct_fields(&lexed.tokens, "ShardStats");
-    match (gauges.is_empty(), shard_stats.is_empty()) {
-        (true, true) => {}
-        (false, false) => {
-            for field in &gauges {
-                if !field.type_text.contains("AtomicU64") {
-                    continue;
-                }
-                if !shard_stats.iter().any(|s| s.name == field.name) {
-                    out.push(Violation {
-                        file: rel_path.to_string(),
-                        line: field.line,
-                        lint: "L005",
-                        message: format!(
-                            "gauge `{}` is declared in ShardGauges but missing from ShardStats; \
-                             metric drift",
-                            field.name
-                        ),
-                    });
-                }
-            }
-        }
-        _ => out.push(Violation {
-            file: rel_path.to_string(),
-            line: 1,
-            lint: "L005",
-            message: "ShardGauges and ShardStats must be declared together (one is missing)"
-                .to_string(),
-        }),
-    }
-    // The anytime probe's observability is part of the stats wire
-    // contract: the mirrored-field checks above only catch drift
-    // between fields that still exist, so the two early-exit metrics
-    // are additionally pinned by name — deleting or renaming either
-    // side fails here instead of silently dropping the telemetry.
-    for (name, pairs) in [
-        ("bytes_at_verdict", [("ServeMetrics", &counters), ("StatsSnapshot", &snapshot)]),
-        ("early_exit_verdicts", [("ShardGauges", &gauges), ("ShardStats", &shard_stats)]),
-    ] {
-        for (struct_name, fields) in pairs {
-            if !fields.is_empty() && !fields.iter().any(|f| f.name == name) {
-                out.push(Violation {
-                    file: rel_path.to_string(),
-                    line: 1,
-                    lint: "L005",
-                    message: format!(
-                        "anytime early-exit metric `{name}` must stay declared in \
-                         {struct_name}; it is pinned by the stats wire contract"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------- L006
 
 fn l006_no_payload_accumulation(
@@ -630,90 +533,12 @@ fn l007_no_siphash_hashmap(rel_path: &str, lexed: &Lexed, tests: &[(u32, u32)]) 
     out
 }
 
-struct Field {
-    name: String,
-    type_text: String,
-    line: u32,
-}
-
-/// Parses `struct <name> { ... }` field names and (flattened) types.
-fn struct_fields(tokens: &[Token], name: &str) -> Vec<Field> {
-    let mut fields = Vec::new();
-    let Some(start) =
-        tokens.windows(2).position(|w| w[0].is_ident("struct") && w[1].is_ident(name))
-    else {
-        return fields;
-    };
-    let mut i = start + 2;
-    while i < tokens.len() && !tokens[i].is_punct("{") {
-        if tokens[i].is_punct(";") {
-            return fields; // unit or tuple struct
-        }
-        i += 1;
-    }
-    let Some(close) = matching_brace(tokens, i) else { return fields };
-    i += 1;
-    while i < close {
-        // Skip attributes.
-        if tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("[")) {
-            let mut depth = 0i32;
-            i += 1;
-            while i < close {
-                depth += nesting_delta(&tokens[i]);
-                i += 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            continue;
-        }
-        // Skip visibility.
-        if tokens[i].is_ident("pub") {
-            i += 1;
-            if i < close && tokens[i].is_punct("(") {
-                let mut depth = 0i32;
-                while i < close {
-                    depth += nesting_delta(&tokens[i]);
-                    i += 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-            continue;
-        }
-        // Field name.
-        if tokens[i].kind != TokKind::Ident {
-            i += 1;
-            continue;
-        }
-        let field_name = tokens[i].text.clone();
-        let line = tokens[i].line;
-        i += 1;
-        if i >= close || !tokens[i].is_punct(":") {
-            continue;
-        }
-        i += 1;
-        let mut type_text = String::new();
-        let mut depth = 0i32;
-        while i < close && !(depth == 0 && tokens[i].is_punct(",")) {
-            depth += nesting_delta(&tokens[i]);
-            type_text.push_str(&tokens[i].text);
-            i += 1;
-        }
-        i += 1; // consume `,`
-        fields.push(Field { name: field_name, type_text, line });
-    }
-    fields
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SERVE_LIB: &str = "crates/serve/src/server.rs";
     const PROTO: &str = "crates/serve/src/proto.rs";
-    const METRICS: &str = "crates/serve/src/metrics.rs";
 
     fn lints_of(violations: &[Violation]) -> Vec<&'static str> {
         violations.iter().map(|v| v.lint).collect()
@@ -883,92 +708,6 @@ fn f(r: Request) -> u8 {
     }
 
     #[test]
-    fn l005_catches_counter_missing_from_snapshot() {
-        let src = r#"
-pub struct ServeMetrics {
-    pub packets: AtomicU64,
-    pub orphan_counter: AtomicU64,
-    pub stages: [LatencyHistogram; 4],
-    pub bytes_at_verdict: LatencyHistogram,
-}
-pub struct StatsSnapshot {
-    pub packets: u64,
-    pub stages: [HistogramSnapshot; 4],
-    pub bytes_at_verdict: HistogramSnapshot,
-}
-"#;
-        let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005"]);
-        assert!(v[0].message.contains("orphan_counter"));
-        assert_eq!(v[0].line, 4);
-    }
-
-    #[test]
-    fn l005_passes_when_all_counters_snapshotted() {
-        let src = r#"
-pub struct ServeMetrics {
-    /// Doc.
-    pub packets: AtomicU64,
-    pub hits: AtomicU64,
-    pub bytes_at_verdict: LatencyHistogram,
-}
-pub struct StatsSnapshot {
-    pub packets: u64,
-    pub hits: u64,
-    pub bytes_at_verdict: HistogramSnapshot,
-}
-"#;
-        assert!(check_file(METRICS, src).is_empty());
-    }
-
-    #[test]
-    fn l005_fails_loudly_if_structs_vanish() {
-        let v = check_file(METRICS, "pub struct SomethingElse;");
-        assert_eq!(lints_of(&v), vec!["L005"]);
-    }
-
-    #[test]
-    fn l005_shard_gauges_must_mirror_shard_stats() {
-        let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
-pub struct ShardGauges {
-    pub pending_flows: AtomicU64,
-    pub orphan_gauge: AtomicU64,
-    pub early_exit_verdicts: AtomicU64,
-}
-pub struct ShardStats {
-    pub pending_flows: u64,
-    pub early_exit_verdicts: u64,
-}
-"#;
-        let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005"]);
-        assert!(v[0].message.contains("orphan_gauge"));
-    }
-
-    #[test]
-    fn l005_lone_shard_struct_is_flagged() {
-        let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
-pub struct ShardGauges { pub pending_flows: AtomicU64, pub early_exit_verdicts: AtomicU64 }
-"#;
-        let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005"]);
-        assert!(v[0].message.contains("declared together"));
-    }
-
-    #[test]
-    fn l005_absent_shard_pair_is_fine() {
-        let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
-"#;
-        assert!(check_file(METRICS, src).is_empty());
-    }
-
-    #[test]
     fn l006_flags_payload_accumulation_outside_staging() {
         let src = "fn f(buf: &mut Flow, p: &[u8]) { buf.data.extend_from_slice(p); }";
         let v = check_file("crates/core/src/pipeline.rs", src);
@@ -988,62 +727,6 @@ mod tests {
 }
 "#;
         assert!(check_file("crates/core/src/pipeline.rs", src).is_empty());
-    }
-
-    #[test]
-    fn l005_covers_pool_gauges() {
-        // The flow-state pool gauges drift like any other gauge pair.
-        let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64, pub bytes_at_verdict: LatencyHistogram }
-pub struct StatsSnapshot { pub packets: u64, pub bytes_at_verdict: HistogramSnapshot }
-pub struct ShardGauges {
-    pub pending_flows: AtomicU64,
-    pub state_pool_hits: AtomicU64,
-    pub state_pool_size: AtomicU64,
-    pub early_exit_verdicts: AtomicU64,
-}
-pub struct ShardStats {
-    pub pending_flows: u64,
-    pub state_pool_hits: u64,
-    pub early_exit_verdicts: u64,
-}
-"#;
-        let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005"]);
-        assert!(v[0].message.contains("state_pool_size"));
-    }
-
-    #[test]
-    fn l005_pins_anytime_early_exit_metrics() {
-        // Removing both sides of an anytime metric would pass the
-        // mirror checks; the pin-by-name catches it.
-        let src = r#"
-pub struct ServeMetrics { pub packets: AtomicU64 }
-pub struct StatsSnapshot { pub packets: u64 }
-pub struct ShardGauges { pub pending_flows: AtomicU64 }
-pub struct ShardStats { pub pending_flows: u64 }
-"#;
-        let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005", "L005", "L005", "L005"]);
-        assert!(v[0].message.contains("bytes_at_verdict"));
-        assert!(v[2].message.contains("early_exit_verdicts"));
-    }
-
-    #[test]
-    fn l005_mirrors_latency_histograms_like_counters() {
-        let src = r#"
-pub struct ServeMetrics {
-    pub packets: AtomicU64,
-    pub bytes_at_verdict: LatencyHistogram,
-}
-pub struct StatsSnapshot {
-    pub packets: u64,
-}
-"#;
-        let v = check_file(METRICS, src);
-        assert_eq!(lints_of(&v), vec!["L005", "L005"]);
-        assert!(v.iter().all(|v| v.message.contains("bytes_at_verdict")));
-        assert!(v.iter().any(|v| v.message.contains("missing from StatsSnapshot")));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Run as `cargo run -p xtask -- lint`. Exits 0 when the workspace is
 //! clean, 1 with `file:line: [Lnnn] message` diagnostics otherwise.
-//! Two tiers run under the one command: the per-token lints L001–L007
-//! (see [`lints`]) and the interprocedural analyses L008–L011 built on
-//! the call graph (see [`analyses`]). `lint --json` emits a
-//! machine-readable report for CI.
+//! Two tiers run under the one command: the per-token lints L001–L004,
+//! L006 and L007 (see [`lints`]) and the interprocedural analyses
+//! L008–L011 built on the call graph (see [`analyses`]). `lint --json`
+//! emits a machine-readable report for CI.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -39,7 +39,7 @@ COMMANDS:
     lint --list   print the lint table and exit
     lint --json   emit the report as JSON on stdout (for CI artifacts)
 
-L001-L007 are per-token lints; L008-L011 are interprocedural analyses
+L001-L004, L006, L007 are per-token lints; L008-L011 are interprocedural analyses
 driven by the roots declared in crates/xtask/roots.toml.
 
 Suppress a finding with an inline justification on the same or the
