@@ -1,37 +1,36 @@
-//! Criterion bench: exact entropy-vector calculation (Figure 5 /
-//! Table 3 timing side), plus the dense-vs-hashmap h1 ablation called
-//! out in DESIGN.md.
+//! Exact entropy-vector calculation (Figure 5 / Table 3 timing side),
+//! plus the dense-vs-hashmap h1 ablation called out in DESIGN.md.
+//!
+//! Run: `cargo bench -p iustitia-bench --bench entropy_calc`. Each case
+//! is timed by `report::sample_ns`; stderr gets one line per case and
+//! stdout one `iustitia-bench/1` document.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+
 use iustitia::features::{FeatureExtractor, FeatureMode};
+use iustitia_bench::report::Report;
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{entropy, FeatureWidths, GramHistogram};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_entropy_vector(c: &mut Criterion) {
-    let mut group = c.benchmark_group("entropy_vector_exact");
+fn bench_entropy_vector(report: &mut Report) {
     let mut rng = StdRng::seed_from_u64(1);
     for b in [32usize, 256, 1024, 8192] {
         let data = generate_file(FileClass::Binary, b, &mut rng);
         let mut fx = FeatureExtractor::new(FeatureWidths::svm_selected(), FeatureMode::Exact, 0);
-        group.bench_with_input(BenchmarkId::new("svm_widths", b), &data, |bench, data| {
-            bench.iter(|| fx.extract(std::hint::black_box(data)));
+        report.time_ns(&format!("entropy_vector_exact/svm_widths/{b}"), || {
+            fx.extract(black_box(&data))
         });
     }
-    group.finish();
 }
 
-fn bench_single_widths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("entropy_hk");
+fn bench_single_widths(report: &mut Report) {
     let mut rng = StdRng::seed_from_u64(2);
     let data = generate_file(FileClass::Binary, 1024, &mut rng);
     for k in [1usize, 2, 3, 5, 10] {
-        group.bench_with_input(BenchmarkId::new("hk", k), &k, |bench, &k| {
-            bench.iter(|| entropy(std::hint::black_box(&data), k));
-        });
+        report.time_ns(&format!("entropy_hk/hk/{k}"), || entropy(black_box(&data), k));
     }
-    group.finish();
 }
 
 /// Dense 256-entry table for h1, the ablation baseline against the
@@ -56,21 +55,20 @@ fn dense_h1(data: &[u8]) -> f64 {
     ((m.log2() - s / m) / 8.0).clamp(0.0, 1.0)
 }
 
-fn bench_dense_vs_hashmap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("h1_dense_vs_hashmap");
+fn bench_dense_vs_hashmap(report: &mut Report) {
     let mut rng = StdRng::seed_from_u64(3);
     let data = generate_file(FileClass::Encrypted, 1024, &mut rng);
-    group.bench_function("dense_array", |bench| {
-        bench.iter(|| dense_h1(std::hint::black_box(&data)));
+    report.time_ns("h1_dense_vs_hashmap/dense_array", || dense_h1(black_box(&data)));
+    report.time_ns("h1_dense_vs_hashmap/hashmap_histogram", || {
+        let h = GramHistogram::from_bytes(black_box(&data), 1);
+        iustitia_entropy::vector::entropy_of_histogram(&h)
     });
-    group.bench_function("hashmap_histogram", |bench| {
-        bench.iter(|| {
-            let h = GramHistogram::from_bytes(std::hint::black_box(&data), 1);
-            iustitia_entropy::vector::entropy_of_histogram(&h)
-        });
-    });
-    group.finish();
 }
 
-criterion_group!(benches, bench_entropy_vector, bench_single_widths, bench_dense_vs_hashmap);
-criterion_main!(benches);
+fn main() {
+    let mut report = Report::new("entropy_calc", false);
+    bench_entropy_vector(&mut report);
+    bench_single_widths(&mut report);
+    bench_dense_vs_hashmap(&mut report);
+    report.print();
+}

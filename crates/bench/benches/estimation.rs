@@ -1,47 +1,51 @@
-//! Criterion bench: `(δ,ε)` streaming entropy estimation vs exact
-//! calculation (Table 3's time column).
+//! `(δ,ε)` streaming entropy estimation vs exact calculation
+//! (Table 3's time column).
+//!
+//! Run: `cargo bench -p iustitia-bench --bench estimation`. Each case
+//! is timed by `report::sample_ns`; stderr gets one line per case and
+//! stdout one `iustitia-bench/1` document.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+
+use iustitia_bench::report::Report;
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{entropy, EstimatorConfig, FeatureWidths, StreamingEntropyEstimator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_estimate_vs_exact(c: &mut Criterion) {
-    let mut group = c.benchmark_group("estimate_vs_exact_b1024");
+fn bench_estimate_vs_exact(report: &mut Report) {
     let mut rng = StdRng::seed_from_u64(1);
     let data = generate_file(FileClass::Binary, 1024, &mut rng);
 
-    group.bench_function("exact_h3", |bench| {
-        bench.iter(|| entropy(std::hint::black_box(&data), 3));
-    });
+    report.time_ns("estimate_vs_exact_b1024/exact_h3", || entropy(black_box(&data), 3));
     let mut est = StreamingEntropyEstimator::with_seed(EstimatorConfig::svm_optimal(), 7);
-    group.bench_function("estimated_h3_svm_params", |bench| {
-        bench.iter(|| est.estimate_hk(std::hint::black_box(&data), 3).expect("k>=2"));
+    report.time_ns("estimate_vs_exact_b1024/estimated_h3_svm_params", || {
+        est.estimate_hk(black_box(&data), 3).expect("k>=2")
     });
     let mut est_cart = StreamingEntropyEstimator::with_seed(EstimatorConfig::cart_optimal(), 7);
-    group.bench_function("estimated_h3_cart_params", |bench| {
-        bench.iter(|| est_cart.estimate_hk(std::hint::black_box(&data), 3).expect("k>=2"));
+    report.time_ns("estimate_vs_exact_b1024/estimated_h3_cart_params", || {
+        est_cart.estimate_hk(black_box(&data), 3).expect("k>=2")
     });
-    group.finish();
 }
 
-fn bench_estimate_vector(c: &mut Criterion) {
-    let mut group = c.benchmark_group("estimate_vector");
+fn bench_estimate_vector(report: &mut Report) {
     let mut rng = StdRng::seed_from_u64(2);
     let data = generate_file(FileClass::Binary, 1024, &mut rng);
+    let widths = FeatureWidths::svm_selected();
     for (name, eps, delta) in
         [("loose", 1.0, 0.75), ("paper_svm", 0.25, 0.75), ("tight", 0.25, 0.1)]
     {
         let cfg = EstimatorConfig::new(eps, delta).expect("valid");
         let mut est = StreamingEntropyEstimator::with_seed(cfg, 3);
-        let widths = FeatureWidths::svm_selected();
-        group.bench_with_input(BenchmarkId::new("config", name), &data, |bench, data| {
-            bench.iter(|| est.estimate_vector(std::hint::black_box(data), &widths));
+        report.time_ns(&format!("estimate_vector/config/{name}"), || {
+            est.estimate_vector(black_box(&data), &widths)
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_estimate_vs_exact, bench_estimate_vector);
-criterion_main!(benches);
+fn main() {
+    let mut report = Report::new("estimation", false);
+    bench_estimate_vs_exact(&mut report);
+    bench_estimate_vector(&mut report);
+    report.print();
+}

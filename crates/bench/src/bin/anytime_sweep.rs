@@ -4,11 +4,12 @@
 //! throughput with the calibrated threshold on and off.
 //!
 //! Run: `cargo run --release -p iustitia-bench --bin anytime_sweep`
-//! (captured into `results/BENCH_anytime.json`).
+//! (stdout is one `iustitia-bench/1` document, committed as
+//! `results/BENCH_anytime.json`).
 //!
 //! Flags:
 //! - `--smoke` — tiny corpus and trace, for CI: exercises the full
-//!   code path in a few seconds and asserts the JSON invariants, but
+//!   code path in a few seconds and asserts the replay invariants, but
 //!   the numbers are not meaningful at that scale.
 
 use std::time::Instant;
@@ -16,8 +17,9 @@ use std::time::Instant;
 use iustitia::features::FeatureMode;
 use iustitia::model::{train_anytime_from_corpus, AnytimeTrainReport, ANYTIME_THRESHOLD_DISABLED};
 use iustitia::pipeline::{AnytimeConfig, Iustitia, PipelineConfig};
+use iustitia_bench::report::Report;
 use iustitia_bench::{paper_cart, scaled};
-use iustitia_corpus::CorpusBuilder;
+use iustitia_corpus::{CorpusBuilder, FileClass};
 use iustitia_entropy::FeatureWidths;
 use iustitia_netsim::{ContentMode, Packet, TraceConfig, TraceGenerator};
 
@@ -57,14 +59,18 @@ struct Replay {
     mean_bytes_at_verdict: f64,
 }
 
-fn replay_json(name: &str, r: &Replay, packets: usize, trailing_comma: bool) {
-    println!("    \"{name}\": {{");
-    println!("      \"wall_s\": {:.4},", r.wall_s);
-    println!("      \"pkts_per_s\": {:.0},", packets as f64 / r.wall_s);
-    println!("      \"verdicts\": {},", r.verdicts);
-    println!("      \"early_exit_verdicts\": {},", r.early_exits);
-    println!("      \"mean_bytes_at_verdict\": {:.1}", r.mean_bytes_at_verdict);
-    println!("    }}{}", if trailing_comma { "," } else { "" });
+impl Replay {
+    /// Records this replay's metrics under `replay/{name}/`.
+    fn record(&self, report: &mut Report, name: &str, packets: usize) {
+        let metric = |report: &mut Report, what: &str, unit: &str, value: f64| {
+            report.metric(&format!("replay/{name}/{what}"), unit, vec![value]);
+        };
+        metric(report, "wall_s", "s", self.wall_s);
+        metric(report, "pkts_per_s", "1/s", packets as f64 / self.wall_s);
+        metric(report, "verdicts", "count", self.verdicts as f64);
+        metric(report, "early_exit_verdicts", "count", self.early_exits as f64);
+        metric(report, "mean_bytes_at_verdict", "B", self.mean_bytes_at_verdict);
+    }
 }
 
 fn main() {
@@ -78,7 +84,7 @@ fn main() {
     eprintln!("training anytime model (CART, b={b}, {per_class} files/class)...");
     let corpus =
         CorpusBuilder::new(33).files_per_class(per_class).size_range(min_size, max_size).build();
-    let report = train_anytime_from_corpus(
+    let trained = train_anytime_from_corpus(
         &corpus,
         &FeatureWidths::svm_selected(),
         b,
@@ -90,8 +96,8 @@ fn main() {
     )
     .expect("balanced corpus");
 
-    let threshold = report.anytime.confidence.threshold();
-    let calibrated = report.curve.iter().find(|p| p.threshold == threshold).copied();
+    let threshold = trained.anytime.confidence.threshold();
+    let calibrated = trained.curve.iter().find(|p| p.threshold == threshold).copied();
 
     eprintln!("generating {n_flows}-flow trace for the pipeline replay...");
     let mut trace = TraceConfig::small_test(42);
@@ -103,73 +109,13 @@ fn main() {
     let packets: Vec<Packet> = TraceGenerator::new(trace).collect();
 
     eprintln!("replaying {} packets (fixed-b, then anytime)...", packets.len());
-    let fixed = replay(&report, b, &packets, false);
-    let any = replay(&report, b, &packets, true);
+    let fixed = replay(&trained, b, &packets, false);
+    let any = replay(&trained, b, &packets, true);
 
-    println!("{{");
-    println!("  \"benchmark\": \"anytime early-exit sweep (accuracy vs mean bytes-to-verdict)\",");
-    println!("  \"smoke\": {smoke},");
-    println!("  \"corpus\": {{\"seed\": 33, \"files_per_class\": {per_class}, \"size_range\": [{min_size}, {max_size}]}},");
-    println!("  \"buffer_size\": {b},");
-    println!("  \"accuracy_floor\": 0.01,");
-    println!("  \"fixed_b_baseline\": {{");
-    println!("    \"accuracy\": {:.4},", report.full_accuracy);
-    println!("    \"mean_bytes_to_verdict\": {:.1}", report.full_mean_bytes);
-    println!("  }},");
-    if let Some(p) = calibrated {
-        let floors: Vec<String> =
-            report.anytime.confidence.class_floor().iter().map(|f| f.to_string()).collect();
-        let trusted = report.anytime.confidence.trusted_bytes();
-        println!("  \"calibrated_threshold\": {threshold},");
-        println!("  \"exit_policy\": {{");
-        println!("    \"class_floor_bytes\": [{}],", floors.join(", "));
-        if trusted == u64::MAX {
-            println!("    \"trusted_bytes\": null");
-        } else {
-            println!("    \"trusted_bytes\": {trusted}");
-        }
-        println!("  }},");
-        println!("  \"calibrated\": {{");
-        println!("    \"accuracy\": {:.4},", p.accuracy);
-        println!("    \"mean_bytes_to_verdict\": {:.1},", p.mean_bytes_to_verdict);
-        println!("    \"early_fraction\": {:.4},", p.early_fraction);
-        println!(
-            "    \"bytes_reduction_factor\": {:.2}",
-            report.full_mean_bytes / p.mean_bytes_to_verdict
-        );
-        println!("  }},");
-    } else {
-        assert_eq!(
-            threshold, ANYTIME_THRESHOLD_DISABLED,
-            "threshold off the grid must be the disabled sentinel"
-        );
-        println!("  \"calibrated_threshold\": null,");
-        println!("  \"calibrated\": null,");
-    }
-    println!("  \"curve\": [");
-    let rows: Vec<String> = report
-        .curve
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"threshold\": {}, \"accuracy\": {:.4}, \
-                 \"mean_bytes_to_verdict\": {:.1}, \"early_fraction\": {:.4}}}",
-                p.threshold, p.accuracy, p.mean_bytes_to_verdict, p.early_fraction
-            )
-        })
-        .collect();
-    println!("{}", rows.join(",\n"));
-    println!("  ],");
-    println!("  \"pipeline_replay\": {{");
-    println!("    \"packets\": {},", packets.len());
-    replay_json("fixed_b", &fixed, packets.len(), true);
-    replay_json("anytime", &any, packets.len(), false);
-    println!("  }}");
-    println!("}}");
-
-    // Invariants every run (including --smoke) must satisfy: anytime
-    // never loses verdicts, and when the calibration found a usable
-    // threshold the replay must actually exit early.
+    // Invariants every run (including --smoke) must satisfy before
+    // its numbers are written: anytime never loses verdicts, and when
+    // the calibration found a usable threshold the replay must actually
+    // exit early.
     assert_eq!(fixed.verdicts, any.verdicts, "anytime must not lose verdicts");
     assert_eq!(fixed.early_exits, 0, "fixed-b path must never exit early");
     if calibrated.is_some() {
@@ -178,5 +124,46 @@ fn main() {
             any.mean_bytes_at_verdict < fixed.mean_bytes_at_verdict,
             "early exits must reduce mean bytes at verdict"
         );
+    } else {
+        assert_eq!(
+            threshold, ANYTIME_THRESHOLD_DISABLED,
+            "threshold off the grid must be the disabled sentinel"
+        );
     }
+
+    let mut report = Report::new("anytime_sweep", smoke);
+    report
+        .param("corpus_seed", 33)
+        .param("files_per_class", per_class)
+        .param("min_file_bytes", min_size)
+        .param("max_file_bytes", max_size)
+        .param("buffer_size", b)
+        .param("accuracy_floor", 0.01)
+        .param("flows", n_flows)
+        .param("packets", packets.len())
+        .param("calibrated_threshold", calibrated.map(|p| p.threshold));
+    let confidence = &trained.anytime.confidence;
+    for (class, floor) in FileClass::ALL.iter().zip(confidence.class_floor()) {
+        report.param(&format!("exit_policy/class_floor_bytes/{}", class.name()), *floor);
+    }
+    let trusted = confidence.trusted_bytes();
+    report.param("exit_policy/trusted_bytes", (trusted != u64::MAX).then_some(trusted));
+
+    let mut point = |name: &str, unit: &str, value: f64| report.metric(name, unit, vec![value]);
+    point("fixed_b/accuracy", "ratio", trained.full_accuracy);
+    point("fixed_b/mean_bytes_to_verdict", "B", trained.full_mean_bytes);
+    if let Some(p) = calibrated {
+        point("calibrated/accuracy", "ratio", p.accuracy);
+        point("calibrated/mean_bytes_to_verdict", "B", p.mean_bytes_to_verdict);
+        point("calibrated/early_fraction", "ratio", p.early_fraction);
+    }
+    for p in &trained.curve {
+        let at = format!("curve/threshold={}", p.threshold);
+        point(&format!("{at}/accuracy"), "ratio", p.accuracy);
+        point(&format!("{at}/mean_bytes_to_verdict"), "B", p.mean_bytes_to_verdict);
+        point(&format!("{at}/early_fraction"), "ratio", p.early_fraction);
+    }
+    fixed.record(&mut report, "fixed_b", packets.len());
+    any.record(&mut report, "anytime", packets.len());
+    report.print();
 }

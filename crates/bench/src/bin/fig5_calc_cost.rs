@@ -9,7 +9,8 @@
 //! Run: `cargo run --release -p iustitia-bench --bin fig5_calc_cost`
 
 use iustitia::features::{FeatureExtractor, FeatureMode, BYTES_PER_COUNTER};
-use iustitia_bench::{print_series, time_us};
+use iustitia_bench::print_series;
+use iustitia_bench::report::{median, sample_ns};
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{FeatureWidths, GramHistogram};
 use rand::rngs::StdRng;
@@ -31,10 +32,9 @@ fn main() {
         // Binary content is the middle case for distinct-gram counts.
         let data = generate_file(FileClass::Binary, b, &mut rng);
         let mut fx = FeatureExtractor::new(widths.clone(), FeatureMode::Exact, 0);
-        let reps = (200_000 / b).max(10);
-        let us = time_us(reps, || {
+        let us = median(&sample_ns(false, || {
             std::hint::black_box(fx.extract(std::hint::black_box(&data)));
-        });
+        })) / 1e3;
         let counters: usize =
             widths.iter().map(|k| GramHistogram::from_bytes(&data, k).counters_used()).sum();
         time_points.push((format!("{b}"), vec![us]));
@@ -46,13 +46,13 @@ fn main() {
         // Resident bytes while the flow is pending: the old
         // buffer-then-compute path holds `b` payload bytes; the
         // streaming path holds only the gram counters.
-        let stream_us = time_us(reps, || {
+        let stream_us = median(&sample_ns(false, || {
             let mut session = fx.begin_flow(b);
             for chunk in data.chunks(CHUNK) {
                 session.update(std::hint::black_box(chunk));
             }
-            std::hint::black_box(session.finish());
-        });
+            session.finish()
+        })) / 1e3;
         let mut session = fx.begin_flow(b);
         session.update(&data);
         stream_points

@@ -14,7 +14,8 @@ use iustitia::analysis::{run_over_trace, DelayComponents};
 use iustitia::features::{dataset_from_corpus, FeatureExtractor, FeatureMode, TrainingMethod};
 use iustitia::model::NatureModel;
 use iustitia::pipeline::{Iustitia, PipelineConfig};
-use iustitia_bench::{paper_svm, prefix_corpus, scaled, time_us};
+use iustitia_bench::report::{median, sample_ns};
+use iustitia_bench::{paper_svm, prefix_corpus, scaled};
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{FeatureWidths, GramHistogram};
 use iustitia_netsim::{TraceConfig, TraceGenerator};
@@ -84,13 +85,12 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let sample = generate_file(FileClass::Binary, b, &mut rng);
     let mut fx = FeatureExtractor::new(widths.clone(), FeatureMode::Exact, 0);
-    let t_feature = time_us(5000, || {
+    let us = |samples: Vec<f64>| median(&samples) / 1e3;
+    let t_feature = us(sample_ns(false, || {
         std::hint::black_box(fx.extract(std::hint::black_box(&sample)));
-    });
+    }));
     let features = fx.extract(&sample);
-    let t_predict = time_us(5000, || {
-        std::hint::black_box(model.predict(std::hint::black_box(&features)));
-    });
+    let t_predict = us(sample_ns(false, || model.predict(std::hint::black_box(&features))));
     println!(
         "\nclassification time at b=32: {:.1} µs features + {:.1} µs SVM = {:.1} µs \
          (paper: ≈300 µs on 2009 hardware — compare shape, not absolute)",

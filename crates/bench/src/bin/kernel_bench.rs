@@ -9,15 +9,13 @@
 //!
 //! Matrix: buffer size b ∈ {256, 2048, 16384} × width set
 //! {full, svm, cart} × {oneshot, incremental (512-byte packets)}.
-//! Output is criterion-style `ns/iter` lines followed by a JSON
-//! document (captured into `results/BENCH_kernel.json`).
+//! Stdout is one `iustitia-bench/1` document (`results/BENCH_kernel.json`);
+//! stderr carries one line per metric and the speedups.
 //!
 //! `--smoke` runs the whole matrix with minimal iteration counts so CI
 //! can verify the harness end-to-end in ~2 seconds.
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use iustitia_bench::report::Report;
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{EntropyVector, FeatureWidths, IncrementalVector};
 use rand::rngs::StdRng;
@@ -180,43 +178,8 @@ fn new_incremental_chunked(data: &[u8], widths: &FeatureWidths, chunk: usize) ->
     inc.finish().values().to_vec()
 }
 
-/// Times `f` criterion-style: calibrate an iteration count to the
-/// target sample length, warm up, then take `samples` samples and
-/// report the median ns/iter.
-fn bench(mut f: impl FnMut() -> Vec<f64>, smoke: bool) -> f64 {
-    if smoke {
-        let start = Instant::now();
-        black_box(f());
-        return start.elapsed().as_nanos() as f64;
-    }
-    // Calibrate: grow iters until one sample takes ≥ 20 ms.
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        if start.elapsed().as_millis() >= 20 {
-            break;
-        }
-        iters *= 2;
-    }
-    let samples = 9;
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    per_iter[samples / 2]
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut report = Report::new("kernel_bench", std::env::args().any(|a| a == "--smoke"));
 
     let width_sets: [(&str, FeatureWidths); 3] = [
         ("full", FeatureWidths::full()),
@@ -241,41 +204,25 @@ fn main() {
     }
     eprintln!("sanity: old and new kernels are bit-identical on all {} cells", 3 * 4 * 3);
 
-    let mut json_cells = Vec::new();
+    report.param("packet_bytes", PACKET);
     for &b in &sizes {
         let data = generate_file(FileClass::Binary, b, &mut rng);
         for (name, widths) in &width_sets {
             let ws: Vec<usize> = widths.iter().collect();
-            let mut cell = Vec::new();
-            for (kernel, mode, ns) in [
-                ("old", "oneshot", bench(|| old_oneshot(&data, &ws), smoke)),
-                ("old", "incremental", bench(|| old_incremental(&data, &ws), smoke)),
-                ("new", "oneshot", bench(|| new_oneshot(&data, widths), smoke)),
-                ("new", "incremental", bench(|| new_incremental(&data, widths), smoke)),
-            ] {
-                println!("kernel/b={b}/{name}/{kernel}/{mode}  time: {ns:>12.0} ns/iter");
-                cell.push((kernel, mode, ns));
-            }
-            let ns_of = |kernel: &str, mode: &str| {
-                cell.iter().find(|(k, m, _)| *k == kernel && *m == mode).map(|c| c.2).unwrap_or(0.0)
-            };
-            let one_speedup = ns_of("old", "oneshot") / ns_of("new", "oneshot");
-            let inc_speedup = ns_of("old", "incremental") / ns_of("new", "incremental");
-            println!(
-                "kernel/b={b}/{name}  speedup: oneshot {one_speedup:.2}x, \
-                 incremental {inc_speedup:.2}x"
+            let cell = format!("kernel/b={b}/{name}");
+            let old_one =
+                report.time_ns(&format!("{cell}/old/oneshot"), || old_oneshot(&data, &ws));
+            let old_inc =
+                report.time_ns(&format!("{cell}/old/incremental"), || old_incremental(&data, &ws));
+            let new_one =
+                report.time_ns(&format!("{cell}/new/oneshot"), || new_oneshot(&data, widths));
+            let new_inc = report
+                .time_ns(&format!("{cell}/new/incremental"), || new_incremental(&data, widths));
+            eprintln!(
+                "{cell}  speedup: oneshot {:.2}x, incremental {:.2}x",
+                old_one / new_one,
+                old_inc / new_inc
             );
-            json_cells.push(format!(
-                "    {{\"b\": {b}, \"widths\": \"{name}\", \
-                 \"old_oneshot_ns\": {:.0}, \"new_oneshot_ns\": {:.0}, \
-                 \"old_incremental_ns\": {:.0}, \"new_incremental_ns\": {:.0}, \
-                 \"oneshot_speedup\": {one_speedup:.2}, \
-                 \"incremental_speedup\": {inc_speedup:.2}}}",
-                ns_of("old", "oneshot"),
-                ns_of("new", "oneshot"),
-                ns_of("old", "incremental"),
-                ns_of("new", "incremental"),
-            ));
         }
     }
 
@@ -286,37 +233,17 @@ fn main() {
     let sweep_widths = FeatureWidths::svm_selected();
     let sweep_data = generate_file(FileClass::Binary, sweep_b, &mut rng);
     let sweep_baseline = new_oneshot(&sweep_data, &sweep_widths);
-    let mut sweep_cells = Vec::new();
+    report.param("chunk_sweep_b", sweep_b).param("chunk_sweep_widths", "svm");
     for chunk in [1usize, 8, 32, 128, 512] {
         assert_eq!(
             new_incremental_chunked(&sweep_data, &sweep_widths, chunk),
             sweep_baseline,
             "chunked feed (chunk={chunk}) must stay bit-identical to one-shot"
         );
-        let ns = bench(|| new_incremental_chunked(&sweep_data, &sweep_widths, chunk), smoke);
-        let bytes_per_us = sweep_b as f64 / (ns / 1000.0);
-        println!(
-            "kernel/chunk_sweep/b={sweep_b}/svm/chunk={chunk}  time: {ns:>12.0} ns/iter \
-             ({bytes_per_us:.0} B/us)"
-        );
-        sweep_cells.push(format!("    {{\"chunk\": {chunk}, \"ns\": {ns:.0}}}"));
+        report.time_ns(&format!("kernel/chunk_sweep/b={sweep_b}/svm/chunk={chunk}"), || {
+            new_incremental_chunked(&sweep_data, &sweep_widths, chunk)
+        });
     }
 
-    println!("--- JSON ---");
-    println!("{{");
-    println!(
-        "  \"benchmark\": \"entropy kernel: SipHash HashMap + per-width rescan (old) vs \
-         tiered histograms + single-pass rolling window (new)\","
-    );
-    println!("  \"packet_bytes\": {PACKET},");
-    println!("  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    println!("  \"cells\": [");
-    println!("{}", json_cells.join(",\n"));
-    println!("  ],");
-    println!("  \"chunk_sweep_b\": {sweep_b},");
-    println!("  \"chunk_sweep_widths\": \"svm\",");
-    println!("  \"chunk_sweep\": [");
-    println!("{}", sweep_cells.join(",\n"));
-    println!("  ]");
-    println!("}}");
+    report.print();
 }

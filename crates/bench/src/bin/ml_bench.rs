@@ -16,17 +16,16 @@
 //!
 //! Timed matrix: DAGSVM fit and 10-fold CART cross-validation, serial
 //! vs auto-parallel; single-vector predict, boxed vs compiled, for
-//! CART and DAGSVM. Output is criterion-style `ns/iter` lines followed
-//! by a JSON document (captured into `results/BENCH_ml.json`).
+//! CART and DAGSVM. Stdout is one `iustitia-bench/1` document
+//! (`results/BENCH_ml.json`); stderr carries one line per metric and
+//! the speedups.
 //!
 //! `--smoke` runs the whole matrix with minimal iteration counts so CI
 //! can verify the harness (including both sanity passes) end-to-end.
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use iustitia::features::{FeatureMode, TrainingMethod};
 use iustitia::model::{ModelKind, NatureModel};
+use iustitia_bench::report::{sample_ns, Report};
 use iustitia_corpus::CorpusBuilder;
 use iustitia_entropy::FeatureWidths;
 use iustitia_ml::cart::{CartParams, DecisionTree};
@@ -35,41 +34,6 @@ use iustitia_ml::crossval::cross_validate_with;
 use iustitia_ml::multiclass::DagSvm;
 use iustitia_ml::svm::SvmParams;
 use iustitia_ml::{Classifier, Dataset, Parallelism};
-
-/// Times `f` criterion-style: calibrate an iteration count to the
-/// target sample length, warm up, then take `samples` samples and
-/// report the median ns/iter.
-fn bench<R>(mut f: impl FnMut() -> R, smoke: bool) -> f64 {
-    if smoke {
-        let start = Instant::now();
-        black_box(f());
-        return start.elapsed().as_nanos() as f64;
-    }
-    // Calibrate: grow iters until one sample takes >= 20 ms.
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        if start.elapsed().as_millis() >= 20 {
-            break;
-        }
-        iters *= 2;
-    }
-    let samples = 9;
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    per_iter[samples / 2]
-}
 
 /// Entropy-vector dataset over a full synthetic corpus — the same
 /// extraction the offline trainer runs (Figure 1, right half).
@@ -96,8 +60,19 @@ fn cart_params(parallelism: Parallelism) -> CartParams {
     CartParams { parallelism, ..CartParams::default() }
 }
 
+/// Samples of ns per single-vector predict: each sample times passes
+/// over every vector in `vectors`.
+fn per_predict(
+    smoke: bool,
+    vectors: &[&[f64]],
+    mut predict: impl FnMut(&[f64]) -> usize,
+) -> Vec<f64> {
+    let pass = sample_ns(smoke, || vectors.iter().map(|x| predict(x)).sum::<usize>());
+    pass.into_iter().map(|ns| ns / vectors.len() as f64).collect()
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut report = Report::new("ml_bench", std::env::args().any(|a| a == "--smoke"));
     let threads = Parallelism::auto().resolve();
     let ds = corpus_dataset();
 
@@ -135,109 +110,55 @@ fn main() {
     );
 
     let n = ds.len();
-    let n_features = ds.n_features();
     let vectors: Vec<&[f64]> = ds.iter().map(|(x, _)| x).collect();
+    report
+        .param("threads", threads)
+        .param("n_samples", n)
+        .param("n_features", ds.n_features())
+        .param("cart_nodes", tree_fast.n_nodes())
+        .param("dagsvm_distinct_svs", dag_fast.n_distinct_support_vectors())
+        .param("dagsvm_terms", dag_fast.n_terms());
 
     // --- training ---
-    let fit_rows = [
-        (
-            "fit/dagsvm",
-            bench(|| DagSvm::fit(&ds, &svm_params(Parallelism::serial())), smoke),
-            bench(|| DagSvm::fit(&ds, &svm_params(Parallelism::auto())), smoke),
-        ),
-        (
-            "cv10/cart",
-            bench(
-                || {
-                    cross_validate_with(&ds, 10, 33, Parallelism::serial(), |t| {
-                        DecisionTree::fit(t, &cart_params(Parallelism::serial()))
-                    })
-                },
-                smoke,
-            ),
-            bench(
-                || {
-                    cross_validate_with(&ds, 10, 33, Parallelism::auto(), |t| {
-                        DecisionTree::fit(t, &cart_params(Parallelism::serial()))
-                    })
-                },
-                smoke,
-            ),
-        ),
-    ];
-    for (name, serial_ns, parallel_ns) in &fit_rows {
-        println!("ml/{name}/serial    time: {serial_ns:>12.0} ns/iter");
-        println!("ml/{name}/parallel  time: {parallel_ns:>12.0} ns/iter");
-        println!("ml/{name}  speedup: {:.2}x ({threads} threads)", serial_ns / parallel_ns);
-    }
+    let cv = |parallelism| {
+        cross_validate_with(&ds, 10, 33, parallelism, |t| {
+            DecisionTree::fit(t, &cart_params(Parallelism::serial()))
+        })
+    };
+    let serial = report
+        .time_ns("ml/fit/dagsvm/serial", || DagSvm::fit(&ds, &svm_params(Parallelism::serial())));
+    let parallel = report
+        .time_ns("ml/fit/dagsvm/parallel", || DagSvm::fit(&ds, &svm_params(Parallelism::auto())));
+    eprintln!("ml/fit/dagsvm  speedup: {:.2}x ({threads} threads)", serial / parallel);
+    let serial = report.time_ns("ml/cv10/cart/serial", || cv(Parallelism::serial()));
+    let parallel = report.time_ns("ml/cv10/cart/parallel", || cv(Parallelism::auto()));
+    eprintln!("ml/cv10/cart  speedup: {:.2}x ({threads} threads)", serial / parallel);
 
     // --- inference (ns per single-vector predict, averaged over the
     // whole corpus so every tree path and DAG route is exercised) ---
-    let per = |total_ns: f64| total_ns / n as f64;
-    let predict_rows = [
-        (
-            "predict/cart",
-            per(bench(
-                || vectors.iter().map(|x| Classifier::predict(&tree_serial, x)).sum::<usize>(),
-                smoke,
-            )),
-            per(bench(|| vectors.iter().map(|x| tree_fast.predict(x)).sum::<usize>(), smoke)),
-        ),
-        (
-            "predict/dagsvm",
-            per(bench(
-                || vectors.iter().map(|x| Classifier::predict(&dag_serial, x)).sum::<usize>(),
-                smoke,
-            )),
-            per(bench(|| vectors.iter().map(|x| dag_fast.predict(x)).sum::<usize>(), smoke)),
-        ),
-    ];
-    for (name, boxed_ns, compiled_ns) in &predict_rows {
-        println!("ml/{name}/boxed     time: {boxed_ns:>12.1} ns/predict");
-        println!("ml/{name}/compiled  time: {compiled_ns:>12.1} ns/predict");
-        println!("ml/{name}  speedup: {:.2}x", boxed_ns / compiled_ns);
-    }
-
-    println!("--- JSON ---");
-    println!("{{");
-    println!(
-        "  \"benchmark\": \"ML layer: serial vs scoped-thread training, \
-         boxed vs compiled (flat-array, packed-SV) inference\","
+    let smoke = report.smoke();
+    let boxed = report.metric(
+        "ml/predict/cart/boxed",
+        "ns",
+        per_predict(smoke, &vectors, |x| Classifier::predict(&tree_serial, x)),
     );
-    println!("  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
-    println!("  \"threads\": {threads},");
-    println!("  \"matrix\": {{");
-    println!("    \"n_samples\": {n},");
-    println!("    \"n_features\": {n_features},");
-    println!("    \"cart_nodes\": {},", tree_fast.n_nodes());
-    println!("    \"dagsvm_distinct_svs\": {},", dag_fast.n_distinct_support_vectors());
-    println!("    \"dagsvm_terms\": {}", dag_fast.n_terms());
-    println!("  }},");
-    println!("  \"training\": [");
-    let fit_cells: Vec<String> = fit_rows
-        .iter()
-        .map(|(name, s, p)| {
-            format!(
-                "    {{\"bench\": \"{name}\", \"serial_ns\": {s:.0}, \
-                 \"parallel_ns\": {p:.0}, \"speedup\": {:.2}}}",
-                s / p
-            )
-        })
-        .collect();
-    println!("{}", fit_cells.join(",\n"));
-    println!("  ],");
-    println!("  \"inference\": [");
-    let predict_cells: Vec<String> = predict_rows
-        .iter()
-        .map(|(name, b, c)| {
-            format!(
-                "    {{\"bench\": \"{name}\", \"boxed_ns_per_predict\": {b:.1}, \
-                 \"compiled_ns_per_predict\": {c:.1}, \"speedup\": {:.2}}}",
-                b / c
-            )
-        })
-        .collect();
-    println!("{}", predict_cells.join(",\n"));
-    println!("  ]");
-    println!("}}");
+    let compiled = report.metric(
+        "ml/predict/cart/compiled",
+        "ns",
+        per_predict(smoke, &vectors, |x| tree_fast.predict(x)),
+    );
+    eprintln!("ml/predict/cart  speedup: {:.2}x", boxed / compiled);
+    let boxed = report.metric(
+        "ml/predict/dagsvm/boxed",
+        "ns",
+        per_predict(smoke, &vectors, |x| Classifier::predict(&dag_serial, x)),
+    );
+    let compiled = report.metric(
+        "ml/predict/dagsvm/compiled",
+        "ns",
+        per_predict(smoke, &vectors, |x| dag_fast.predict(x)),
+    );
+    eprintln!("ml/predict/dagsvm  speedup: {:.2}x", boxed / compiled);
+
+    report.print();
 }

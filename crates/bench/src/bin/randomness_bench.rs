@@ -12,56 +12,19 @@
 //!
 //! Timed matrix: one-shot battery over 256 B / 2 KiB / 16 KiB
 //! payloads, incremental update in 64 B packets plus finish, and the
-//! marginal cost next to the entropy kernel it accompanies. Output is
-//! criterion-style `ns/iter` lines followed by a JSON document
-//! (captured into `results/BENCH_randomness.json`).
+//! marginal cost next to the entropy kernel it accompanies. Stdout is
+//! one `iustitia-bench/1` document; stderr carries one line per metric.
 //!
 //! `--smoke` runs the whole matrix with minimal iteration counts so CI
 //! can verify the harness (including the sanity pass) end-to-end.
 //!
 //! Run: `cargo run --release -p iustitia-bench --bin randomness_bench`
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use iustitia_bench::report::Report;
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{battery_features, entropy_vector, FeatureWidths, RandomnessBattery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Times `f` criterion-style: calibrate an iteration count to the
-/// target sample length, warm up, then take `samples` samples and
-/// report the median ns/iter.
-fn bench<R>(mut f: impl FnMut() -> R, smoke: bool) -> f64 {
-    if smoke {
-        let start = Instant::now();
-        black_box(f());
-        return start.elapsed().as_nanos() as f64;
-    }
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        if start.elapsed().as_millis() >= 20 {
-            break;
-        }
-        iters *= 2;
-    }
-    let samples = 9;
-    let mut per_iter: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    per_iter.sort_by(f64::total_cmp);
-    per_iter[samples / 2]
-}
 
 /// The streaming path: feed `data` in `packet`-byte chunks through a
 /// pooled battery, then finish.
@@ -74,7 +37,7 @@ fn incremental(battery: &mut RandomnessBattery, data: &[u8], packet: usize) -> [
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut report = Report::new("randomness_bench", std::env::args().any(|a| a == "--smoke"));
     let sizes = [256usize, 2048, 16384];
     let packet = 64usize;
 
@@ -99,21 +62,15 @@ fn main() {
     );
 
     let widths: Vec<usize> = FeatureWidths::svm_selected().iter().collect();
-    let mut json_cells = Vec::new();
+    report.param("packet_bytes", packet).param("entropy_widths", "svm");
     for &b in &sizes {
         let data = generate_file(FileClass::Compressed, b, &mut rng);
-        let cells = [
-            ("oneshot", bench(|| battery_features(&data), smoke)),
-            ("incremental", bench(|| incremental(&mut pooled, &data, packet), smoke)),
-            ("entropy_vector", bench(|| entropy_vector(&data, &widths), smoke)),
-        ];
-        for (mode, ns) in cells {
-            println!("battery/{mode}/b={b:<5} {ns:>12.0} ns/iter");
-            json_cells.push(format!(
-                "    {{\"bench\": \"battery\", \"mode\": \"{mode}\", \"b\": {b}, \"ns\": {ns:.0}}}"
-            ));
-        }
+        report.time_ns(&format!("battery/oneshot/b={b}"), || battery_features(&data));
+        report.time_ns(&format!("battery/incremental/b={b}"), || {
+            incremental(&mut pooled, &data, packet)
+        });
+        report.time_ns(&format!("battery/entropy_vector/b={b}"), || entropy_vector(&data, &widths));
     }
 
-    println!("\n{{\n  \"cells\": [\n{}\n  ]\n}}", json_cells.join(",\n"));
+    report.print();
 }

@@ -3,32 +3,35 @@
 //! Starts an in-process [`Server`] on `127.0.0.1:0`, trains a CART
 //! model on a synthetic corpus, streams a netsim trace through the
 //! client library, and reports throughput plus the server's per-stage
-//! latency histograms. Unlike the criterion benches, this is a plain
-//! binary: one run, human-readable numbers, no statistical harness.
+//! latency histograms.
 //!
 //! Run: `cargo run --release -p iustitia-bench --bin serve_loadgen`
+//! (the default mode prints a human-readable report on stdout).
 //!
-//! Modes (mutually exclusive):
+//! Modes (mutually exclusive). The first three print one
+//! `iustitia-bench/1` document on stdout and their progress on stderr;
+//! every whole-pass wall clock is a sample in that document:
 //! - `--sweep-batch` — batch-limit sweep (1, 8, 32, 128, 512): asserts
 //!   the pipeline's batch path is bit-identical to per-packet dispatch,
-//!   then measures throughput at each reader batch limit and prints a
-//!   JSON document (captured into `results/BENCH_batch.json`).
+//!   then measures throughput at each reader batch limit, 3 passes per
+//!   limit (`results/BENCH_batch.json`).
 //! - `--connections N` — many-socket scenario: N concurrent sockets,
 //!   one small flow each, measuring per-connection submit-to-verdict
-//!   latency client-side plus the server's accept-to-verdict histogram.
-//!   Prints a JSON document (captured into `results/BENCH_epoll.json`).
+//!   latency client-side plus the server's accept-to-verdict histogram
+//!   (`results/BENCH_epoll.json` at N = 1000).
 //! - `--flow-churn` — anytime early-exit scenario: larger flows against
-//!   a `b = 2048` buffer, streamed twice through the server with the
-//!   calibrated anytime threshold off then on, comparing throughput,
-//!   early-exit counts, and bytes-at-verdict (captured into the
-//!   `flow_churn` section of `results/BENCH_anytime.json`).
+//!   a `b = 2048` buffer, streamed through the server with the
+//!   calibrated anytime threshold off then on, 3 passes each, comparing
+//!   throughput, early-exit counts, and bytes-at-verdict
+//!   (`results/BENCH_churn.json`).
 //! - `--pcap FILE` — replay a capture file through the single-client
 //!   path instead of a generated trace.
 //! - `--write-pcap FILE` — export the generated trace as a classic
 //!   pcap (LINKTYPE_RAW) and exit.
 //!
 //! Environment knobs:
-//! - `IUSTITIA_BENCH_SCALE` — scales flow count (default 1.0).
+//! - `IUSTITIA_SCALE` — scales the generated trace's flow count
+//!   (default 1.0; see [`iustitia_bench::scaled`]).
 //! - `SERVE_SHARDS` — shard worker count (default 4).
 
 use std::io::Write as _;
@@ -36,16 +39,15 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use iustitia::features::{FeatureMode, TrainingMethod};
-use iustitia::model::{
-    train_anytime_from_corpus, train_from_corpus, AnytimeTrainReport, NatureModel,
-};
+use iustitia::model::{train_anytime_from_corpus, train_from_corpus, NatureModel};
 use iustitia::pipeline::{AnytimeConfig, BatchPacket, Iustitia, PipelineConfig, Verdict};
+use iustitia_bench::report::Report;
 use iustitia_bench::{paper_cart, prefix_corpus, scaled};
 use iustitia_corpus::CorpusBuilder;
 use iustitia_entropy::FeatureWidths;
 use iustitia_netsim::{ContentMode, FiveTuple, Packet, TcpFlags, TraceConfig, TraceGenerator};
 use iustitia_serve::{
-    Client, ClientEvent, FrameAssembler, Request, Response, Server, ServerConfig,
+    Client, ClientEvent, FrameAssembler, Request, Response, Server, ServerConfig, StatsSnapshot,
 };
 
 /// Feeds the trace through two freshly built pipelines — one per
@@ -78,18 +80,14 @@ fn assert_batch_bit_identity(model: &NatureModel, packets: &[Packet], segment: u
     );
 }
 
-/// One timed pass of the trace through a fresh server at the given
-/// reader batch limit. Returns (throughput pkt/s, final stats).
-fn timed_run(
+/// One timed pass of `packets` through a fresh server built from
+/// `config`, as one blocking client. Returns the wall seconds from the
+/// first submit until the server has drained, and the final stats.
+fn timed_pass(
     model: &NatureModel,
+    config: ServerConfig,
     packets: &[Packet],
-    shards: usize,
-    batch_limit: usize,
-) -> (f64, iustitia_serve::StatsSnapshot) {
-    let mut config = ServerConfig::new(PipelineConfig::headline(33));
-    config.shards = shards;
-    config.queue_capacity = 1 << 14;
-    config.batch_limit = batch_limit;
+) -> (f64, StatsSnapshot) {
     let server = Server::start("127.0.0.1:0", model.clone(), config).expect("bind loopback");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -106,93 +104,68 @@ fn timed_run(
     let stats = client.stats().expect("stats");
     client.close().expect("close");
     server.shutdown();
-    (packets.len() as f64 / elapsed, stats)
+    (elapsed, stats)
+}
+
+/// A histogram quantile as a sample; an empty histogram is `NaN`,
+/// written as `null`.
+fn quantile(q: Option<u64>) -> f64 {
+    q.map_or(f64::NAN, |v| v as f64)
+}
+
+/// A named stats reading, taken once per timed pass: (name, unit, read).
+type Reading = (&'static str, &'static str, fn(&StatsSnapshot) -> f64);
+
+/// Records one cell of `reps` timed passes under `cell/`: throughput
+/// plus one sample per pass of each named stats reading. Returns the
+/// median throughput.
+fn record_passes(
+    report: &mut Report,
+    cell: &str,
+    packets: usize,
+    passes: &[(f64, StatsSnapshot)],
+    readings: &[Reading],
+) -> f64 {
+    let tput = passes.iter().map(|(secs, _)| packets as f64 / secs).collect();
+    let median = report.metric(&format!("{cell}/pkts_per_s"), "1/s", tput);
+    for (name, unit, read) in readings {
+        let samples = passes.iter().map(|(_, stats)| read(stats)).collect();
+        report.metric(&format!("{cell}/{name}"), unit, samples);
+    }
+    median
 }
 
 fn sweep_batch(model: &NatureModel, packets: &[Packet], shards: usize) {
     assert_batch_bit_identity(model, packets, 512);
 
     let reps = 3;
-    let mut runs = Vec::new();
+    let mut report = Report::new("serve_loadgen --sweep-batch", false);
+    report
+        .param("shards", shards)
+        .param("packets", packets.len())
+        .param("reps_per_cell", reps)
+        .param("bit_identity", "batch == per-packet asserted on the full trace before timing");
     for batch_limit in [1usize, 8, 32, 128, 512] {
-        let mut throughputs = Vec::new();
-        let mut last_stats = None;
-        for _ in 0..reps {
-            let (tput, stats) = timed_run(model, packets, shards, batch_limit);
-            throughputs.push(tput);
-            last_stats = Some(stats);
-        }
-        throughputs.sort_by(f64::total_cmp);
-        let median = throughputs[reps / 2];
-        let stats = last_stats.expect("at least one rep");
-        eprintln!(
-            "batch_limit={batch_limit:<4} median {median:>9.0} pkt/s \
-             (batch p50 {}, flows/batch p50 {}, queue locks {})",
-            stats.batch_size.p50().unwrap_or(0),
-            stats.flows_per_batch.p50().unwrap_or(0),
-            stats.queue_lock_acquisitions,
+        let mut config = ServerConfig::new(PipelineConfig::headline(33));
+        config.shards = shards;
+        config.queue_capacity = 1 << 14;
+        config.batch_limit = batch_limit;
+        let passes: Vec<_> =
+            (0..reps).map(|_| timed_pass(model, config.clone(), packets)).collect();
+        record_passes(
+            &mut report,
+            &format!("batch_limit={batch_limit}"),
+            packets.len(),
+            &passes,
+            &[
+                ("batch_size_p50", "count", |s| quantile(s.batch_size.p50())),
+                ("flows_per_batch_p50", "count", |s| quantile(s.flows_per_batch.p50())),
+                ("queue_lock_acquisitions", "count", |s| s.queue_lock_acquisitions as f64),
+                ("cdb_hits", "count", |s| s.hits as f64),
+            ],
         );
-        runs.push(format!(
-            "    {{\"batch_limit\": {batch_limit}, \"median_pkts_per_s\": {median:.0}, \
-             \"batch_size_p50\": {}, \"flows_per_batch_p50\": {}, \
-             \"queue_lock_acquisitions\": {}, \"cdb_hits\": {}}}",
-            stats.batch_size.p50().unwrap_or(0),
-            stats.flows_per_batch.p50().unwrap_or(0),
-            stats.queue_lock_acquisitions,
-            stats.hits,
-        ));
     }
-
-    println!("{{");
-    println!("  \"benchmark\": \"serve loadgen batch-limit sweep (flow-grouped batch dispatch)\",");
-    println!(
-        "  \"bit_identity\": \"batch == per-packet asserted on the full trace before timing\","
-    );
-    println!("  \"shards\": {shards},");
-    println!("  \"packets\": {},", packets.len());
-    println!("  \"reps_per_cell\": {reps},");
-    println!("  \"runs\": [");
-    println!("{}", runs.join(",\n"));
-    println!("  ]");
-    println!("}}");
-}
-
-/// One timed pass of the flow-churn trace with the anytime threshold
-/// on or off. Returns (throughput pkt/s, final stats).
-fn churn_run(
-    report: &AnytimeTrainReport,
-    b: usize,
-    packets: &[Packet],
-    shards: usize,
-    anytime: bool,
-) -> (f64, iustitia_serve::StatsSnapshot) {
-    let mut pc = PipelineConfig { buffer_size: b, battery: true, ..PipelineConfig::headline(33) };
-    if anytime {
-        pc.anytime = Some(AnytimeConfig::calibrated(&report.anytime.confidence));
-    }
-    let mut config = ServerConfig::new(pc);
-    config.shards = shards;
-    config.queue_capacity = 1 << 14;
-    if anytime {
-        config.anytime = Some(report.anytime.clone());
-    }
-    let server = Server::start("127.0.0.1:0", report.model.clone(), config).expect("bind loopback");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-
-    let start = Instant::now();
-    for packet in packets {
-        client.submit_packet(packet).expect("submit");
-        if client.poll_events().iter().any(|e| matches!(e, ClientEvent::Busy(_))) {
-            panic!("queues sized to never reject");
-        }
-    }
-    client.flush().expect("flush");
-    client.drain().expect("drain");
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = client.stats().expect("stats");
-    client.close().expect("close");
-    server.shutdown();
-    (packets.len() as f64 / elapsed, stats)
+    report.print();
 }
 
 /// The anytime early-exit scenario: a trace of larger flows against a
@@ -204,7 +177,7 @@ fn flow_churn(shards: usize) {
     let b = 2048usize;
     eprintln!("training anytime model (CART, b={b}, 96 files/class)...");
     let corpus = CorpusBuilder::new(33).files_per_class(96).size_range(1024, 16384).build();
-    let report = train_anytime_from_corpus(
+    let trained = train_anytime_from_corpus(
         &corpus,
         &FeatureWidths::svm_selected(),
         b,
@@ -215,7 +188,7 @@ fn flow_churn(shards: usize) {
         0.01,
     )
     .expect("balanced corpus");
-    let threshold = report.anytime.confidence.threshold();
+    let threshold = trained.anytime.confidence.threshold();
     eprintln!("calibrated threshold: {threshold}");
 
     let n_flows = scaled(1500);
@@ -227,60 +200,48 @@ fn flow_churn(shards: usize) {
     trace.content = ContentMode::Realistic;
     trace.content_budget = 4096;
     let packets: Vec<Packet> = TraceGenerator::new(trace).collect();
-    eprintln!("streaming {} packets, threshold off then on ({} reps each)...", packets.len(), 3);
-
     let reps = 3;
-    let mut cells = Vec::new();
-    for anytime in [false, true] {
-        let mut throughputs = Vec::new();
-        let mut last_stats = None;
-        for _ in 0..reps {
-            let (tput, stats) = churn_run(&report, b, &packets, shards, anytime);
-            throughputs.push(tput);
-            last_stats = Some(stats);
-        }
-        throughputs.sort_by(f64::total_cmp);
-        let median = throughputs[reps / 2];
-        let stats = last_stats.expect("at least one rep");
-        let name = if anytime { "anytime" } else { "fixed_b" };
-        eprintln!(
-            "{name:<8} median {median:>9.0} pkt/s (early exits {}, bytes@verdict p50 {}B)",
-            stats.early_exit_verdicts(),
-            stats.bytes_at_verdict.p50().unwrap_or(0),
-        );
-        cells.push((name, median, stats));
-    }
+    eprintln!("streaming {} packets, threshold off then on ({reps} reps each)...", packets.len());
 
-    let baseline = cells[0].1;
-    println!("{{");
-    println!("  \"benchmark\": \"serve loadgen flow churn (anytime early exit vs fixed-b)\",");
-    println!("  \"shards\": {shards},");
-    println!("  \"buffer_size\": {b},");
-    println!("  \"calibrated_threshold\": {threshold},");
-    println!("  \"packets\": {},", packets.len());
-    println!("  \"flows\": {n_flows},");
-    println!("  \"reps_per_cell\": {reps},");
-    println!("  \"runs\": [");
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|(name, median, stats)| {
-            format!(
-                "    {{\"mode\": \"{name}\", \"median_pkts_per_s\": {median:.0}, \
-                 \"speedup_vs_fixed_b\": {:.3}, \"flows_classified\": {}, \
-                 \"early_exit_verdicts\": {}, \"bytes_at_verdict_p50\": {}, \
-                 \"bytes_at_verdict_p99\": {}, \"cdb_hits\": {}}}",
-                median / baseline,
-                stats.flows_classified,
-                stats.early_exit_verdicts(),
-                stats.bytes_at_verdict.p50().unwrap_or(0),
-                stats.bytes_at_verdict.p99().unwrap_or(0),
-                stats.hits,
-            )
-        })
-        .collect();
-    println!("{}", rows.join(",\n"));
-    println!("  ]");
-    println!("}}");
+    let mut report = Report::new("serve_loadgen --flow-churn", false);
+    report
+        .param("shards", shards)
+        .param("buffer_size", b)
+        .param("calibrated_threshold", threshold)
+        .param("packets", packets.len())
+        .param("flows", n_flows)
+        .param("reps_per_cell", reps);
+    let mut medians = Vec::new();
+    for anytime in [false, true] {
+        let mut pc =
+            PipelineConfig { buffer_size: b, battery: true, ..PipelineConfig::headline(33) };
+        if anytime {
+            pc.anytime = Some(AnytimeConfig::calibrated(&trained.anytime.confidence));
+        }
+        let mut config = ServerConfig::new(pc);
+        config.shards = shards;
+        config.queue_capacity = 1 << 14;
+        if anytime {
+            config.anytime = Some(trained.anytime.clone());
+        }
+        let passes: Vec<_> =
+            (0..reps).map(|_| timed_pass(&trained.model, config.clone(), &packets)).collect();
+        medians.push(record_passes(
+            &mut report,
+            if anytime { "anytime" } else { "fixed_b" },
+            packets.len(),
+            &passes,
+            &[
+                ("flows_classified", "count", |s| s.flows_classified as f64),
+                ("early_exit_verdicts", "count", |s| s.early_exit_verdicts() as f64),
+                ("bytes_at_verdict_p50", "B", |s| quantile(s.bytes_at_verdict.p50())),
+                ("bytes_at_verdict_p99", "B", |s| quantile(s.bytes_at_verdict.p99())),
+                ("cdb_hits", "count", |s| s.hits as f64),
+            ],
+        ));
+    }
+    eprintln!("anytime vs fixed_b median throughput: {:.3}x", medians[1] / medians[0]);
+    report.print();
 }
 
 /// Client-side state for one socket in the many-connections scenario.
@@ -290,15 +251,6 @@ struct ConnProbe {
     submitted: Instant,
     verdict_us: Option<u64>,
     dead: bool,
-}
-
-/// Exact quantile of a sorted latency sample.
-fn quantile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// The two 16-byte-payload packets that complete one probe flow
@@ -326,7 +278,7 @@ fn probe_frames(index: usize) -> Vec<u8> {
 
 /// The many-socket scenario: `n_conns` concurrent sockets, one small
 /// flow each, submit-to-verdict latency per connection. Prints a JSON
-/// document on stdout (captured into `results/BENCH_epoll.json`).
+/// document on stdout.
 fn many_connections(model: &NatureModel, shards: usize, n_conns: usize) {
     let mut config = ServerConfig::new(PipelineConfig::headline(33));
     config.shards = shards;
@@ -416,8 +368,9 @@ fn many_connections(model: &NatureModel, shards: usize, n_conns: usize) {
     let stats = control.stats().expect("stats");
     control.close().expect("close");
 
-    let mut latencies: Vec<u64> = probes.iter().filter_map(|p| p.verdict_us).collect();
-    latencies.sort_unstable();
+    // One sample per connection that got its verdict.
+    let mut latencies: Vec<f64> =
+        probes.iter().filter_map(|p| p.verdict_us).map(|us| us as f64).collect();
     let verdicts = latencies.len();
     let lost = n_conns - verdicts;
 
@@ -427,32 +380,26 @@ fn many_connections(model: &NatureModel, shards: usize, n_conns: usize) {
     eprintln!(
         "{verdicts}/{n_conns} verdicts ({lost} lost, {busy_seen} busy), total {total_wall:.3} s"
     );
-    println!("{{");
-    println!("  \"benchmark\": \"serve loadgen many-connections (one small flow per socket)\",");
-    println!("  \"connections\": {n_conns},");
-    println!("  \"shards\": {shards},");
-    println!("  \"packets_per_conn\": 2,");
-    println!("  \"connect_wall_s\": {connect_wall:.4},");
-    println!("  \"submit_wall_s\": {submit_wall:.4},");
-    println!("  \"total_wall_s\": {total_wall:.4},");
-    println!("  \"verdicts\": {verdicts},");
-    println!("  \"lost_verdicts\": {lost},");
-    println!("  \"busy_rejects\": {busy_seen},");
-    println!("  \"client_submit_to_verdict_us\": {{");
-    println!("    \"p50\": {},", quantile_us(&latencies, 0.50));
-    println!("    \"p90\": {},", quantile_us(&latencies, 0.90));
-    println!("    \"p99\": {},", quantile_us(&latencies, 0.99));
-    println!("    \"max\": {}", latencies.last().copied().unwrap_or(0));
-    println!("  }},");
-    println!("  \"server\": {{");
-    println!("    \"connections_accepted\": {},", stats.connections);
-    println!("    \"open_connections\": {},", stats.open_connections);
-    println!("    \"reassembly_buffer_bytes\": {},", stats.reassembly_buffer_bytes);
-    println!("    \"accept_to_verdict_ns_p50\": {},", stats.accept_to_verdict.p50().unwrap_or(0));
-    println!("    \"accept_to_verdict_ns_p99\": {},", stats.accept_to_verdict.p99().unwrap_or(0));
-    println!("    \"accept_to_verdict_samples\": {}", stats.accept_to_verdict.count());
-    println!("  }}");
-    println!("}}");
+    let mut report = Report::new("serve_loadgen --connections", false);
+    report.param("connections", n_conns).param("shards", shards).param("packets_per_conn", 2);
+    let mut once = |name: &str, unit: &str, value: f64| report.metric(name, unit, vec![value]);
+    once("connect_wall_s", "s", connect_wall);
+    once("submit_wall_s", "s", submit_wall);
+    once("total_wall_s", "s", total_wall);
+    once("verdicts", "count", verdicts as f64);
+    once("lost_verdicts", "count", lost as f64);
+    once("busy_rejects", "count", busy_seen as f64);
+    once("server/connections_accepted", "count", stats.connections as f64);
+    once("server/open_connections", "count", stats.open_connections as f64);
+    once("server/reassembly_buffer_bytes", "B", stats.reassembly_buffer_bytes as f64);
+    once("server/accept_to_verdict_p50", "ns", quantile(stats.accept_to_verdict.p50()));
+    once("server/accept_to_verdict_p99", "ns", quantile(stats.accept_to_verdict.p99()));
+    once("server/accept_to_verdict_count", "count", stats.accept_to_verdict.count() as f64);
+    if latencies.is_empty() {
+        latencies.push(f64::NAN);
+    }
+    report.metric("client/submit_to_verdict", "us", latencies);
+    report.print();
 }
 
 /// Streams `packets` through a single blocking client and prints the

@@ -10,7 +10,8 @@
 //! Run: `cargo run --release -p iustitia-bench --bin table3_calc_vs_estimate`
 
 use iustitia::features::{FeatureExtractor, FeatureMode};
-use iustitia_bench::{print_table, time_us};
+use iustitia_bench::print_table;
+use iustitia_bench::report::{median, sample_ns};
 use iustitia_corpus::{generate_file, FileClass};
 use iustitia_entropy::{EstimatorConfig, FeatureWidths};
 use rand::rngs::StdRng;
@@ -18,11 +19,11 @@ use rand::SeedableRng;
 
 use iustitia::features::BYTES_PER_COUNTER;
 
-fn measure(widths: &FeatureWidths, mode: FeatureMode, data: &[u8], reps: usize) -> (f64, usize) {
+fn measure(widths: &FeatureWidths, mode: FeatureMode, data: &[u8]) -> (f64, usize) {
     let mut fx = FeatureExtractor::new(widths.clone(), mode, 1);
-    let us = time_us(reps, || {
+    let us = median(&sample_ns(false, || {
         std::hint::black_box(fx.extract(std::hint::black_box(data)));
-    });
+    })) / 1e3;
     let counters = fx.counters_for_buffer(data);
     (us, counters * BYTES_PER_COUNTER)
 }
@@ -30,20 +31,15 @@ fn measure(widths: &FeatureWidths, mode: FeatureMode, data: &[u8], reps: usize) 
 /// Same vector via an incremental per-flow session fed 512-byte
 /// chunks, as the streaming pipeline computes it. Returns time and the
 /// session's resident footprint while pending.
-fn measure_stream(
-    widths: &FeatureWidths,
-    mode: FeatureMode,
-    data: &[u8],
-    reps: usize,
-) -> (f64, usize) {
+fn measure_stream(widths: &FeatureWidths, mode: FeatureMode, data: &[u8]) -> (f64, usize) {
     let fx = FeatureExtractor::new(widths.clone(), mode, 1);
-    let us = time_us(reps, || {
+    let us = median(&sample_ns(false, || {
         let mut session = fx.begin_flow(data.len());
         for chunk in data.chunks(512) {
             session.update(std::hint::black_box(chunk));
         }
-        std::hint::black_box(session.finish());
-    });
+        session.finish()
+    })) / 1e3;
     let mut session = fx.begin_flow(data.len());
     session.update(data);
     (us, session.resident_bytes())
@@ -61,20 +57,20 @@ fn main() {
     let mut rows = Vec::new();
     let mut stream_rows = Vec::new();
     let mut remembered: Vec<(String, f64, usize)> = Vec::new();
-    for (label, widths, cfg, data, reps) in [
-        ("b=1024 SVM", FeatureWidths::svm_selected(), svm_cfg, &data_1k, 200),
-        ("b=1024 CART", FeatureWidths::cart_selected(), cart_cfg, &data_1k, 200),
-        ("b=32 SVM", FeatureWidths::svm_selected(), svm_cfg, &data_32, 2000),
-        ("b=32 CART", FeatureWidths::cart_selected(), cart_cfg, &data_32, 2000),
+    for (label, widths, cfg, data) in [
+        ("b=1024 SVM", FeatureWidths::svm_selected(), svm_cfg, &data_1k),
+        ("b=1024 CART", FeatureWidths::cart_selected(), cart_cfg, &data_1k),
+        ("b=32 SVM", FeatureWidths::svm_selected(), svm_cfg, &data_32),
+        ("b=32 CART", FeatureWidths::cart_selected(), cart_cfg, &data_32),
     ] {
-        let (t_exact, s_exact) = measure(&widths, FeatureMode::Exact, data, reps);
+        let (t_exact, s_exact) = measure(&widths, FeatureMode::Exact, data);
         let is_small = data.len() <= 32;
         let (t_est, s_est) = if is_small {
             // Paper: the sketch requires |f_k| >> b and is not applied
             // to 32-byte buffers.
             (f64::NAN, 0)
         } else {
-            measure(&widths, FeatureMode::Estimated(cfg), data, reps / 4)
+            measure(&widths, FeatureMode::Estimated(cfg), data)
         };
         remembered.push((label.to_string(), t_exact, s_exact));
         rows.push(vec![
@@ -90,11 +86,11 @@ fn main() {
         // Buffered vs incremental: a pending flow used to hold
         // `data.len()` payload bytes; the streaming session holds only
         // its counters/trackers and computes the identical vector.
-        let (t_stream, s_stream) = measure_stream(&widths, FeatureMode::Exact, data, reps);
+        let (t_stream, s_stream) = measure_stream(&widths, FeatureMode::Exact, data);
         let (t_stream_est, s_stream_est) = if is_small {
             (f64::NAN, 0)
         } else {
-            measure_stream(&widths, FeatureMode::Estimated(cfg), data, reps / 4)
+            measure_stream(&widths, FeatureMode::Estimated(cfg), data)
         };
         stream_rows.push(vec![
             label.to_string(),

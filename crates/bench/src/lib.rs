@@ -4,7 +4,9 @@
 //! `src/bin/` (see `DESIGN.md` for the experiment index); this library
 //! holds the pieces they share — standard corpora, classifier-training
 //! shorthand, evaluation helpers, and plain-text table/series printers
-//! so each binary emits the same rows/series the paper reports.
+//! so each binary emits the same rows/series the paper reports. Every
+//! timed measurement goes through [`report::sample_ns`], and every
+//! perf binary's JSON document through [`report::Report`].
 //!
 //! Scale note: the paper's pool has ~90k files and its trace ~12M
 //! packets. The defaults here are scaled down (hundreds of files,
@@ -14,6 +16,8 @@
 //! a `IUSTITIA_SCALE` environment variable to push toward paper scale.
 
 #![forbid(unsafe_code)]
+
+pub mod report;
 
 use iustitia::features::{dataset_from_corpus, FeatureMode, TrainingMethod};
 use iustitia::model::{ModelKind, NatureModel};
@@ -177,17 +181,6 @@ pub fn print_confusion_block(name: &str, cm: &ConfusionMatrix) {
     print_table(&format!("{name}: accuracy and misclassification"), &header_refs, &rows);
 }
 
-/// Measures the mean wall-clock time of `f` over `reps` runs (after one
-/// warmup), in microseconds.
-pub fn time_us<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    f(); // warmup
-    let start = std::time::Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() * 1e6 / reps as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,14 +201,6 @@ mod tests {
         let row = accuracy_row(&cm);
         assert_eq!(row.len(), 5);
         assert_eq!(row[0], "66.67%");
-    }
-
-    #[test]
-    fn time_us_positive() {
-        let t = time_us(3, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(t >= 0.0);
     }
 
     #[test]

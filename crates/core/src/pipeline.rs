@@ -1429,7 +1429,7 @@ mod tests {
         // consecutive agreeing probe renders the verdict. A constant
         // payload keeps both probes' labels stable (its feature vector
         // is degenerate at any prefix length).
-        let payload = vec![0x7f; 64];
+        let payload = [0x7f; 64];
         let first = ius.process_packet(&data_packet(1, 0.0, &payload[..32]));
         assert_eq!(first, Verdict::Buffering, "one probe never fires alone");
         let verdict = ius.process_packet(&data_packet(1, 0.01, &payload[32..]));

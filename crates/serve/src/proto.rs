@@ -373,12 +373,18 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtoError::Malformed`] on unknown types or bad bodies.
+    /// Returns [`ProtoError::Malformed`] on unknown types or bad bodies,
+    /// including a packet whose timestamp is NaN or infinite: time
+    /// drives the pipeline's idle sweep, and one such stamp would stop
+    /// it for good.
     pub fn decode(type_byte: u8, body: &[u8]) -> Result<Request, ProtoError> {
         let mut r = FieldReader::new(body);
         let req = match type_byte {
             REQ_SUBMIT_PACKET => {
                 let timestamp = r.f64()?;
+                if !timestamp.is_finite() {
+                    return Err(malformed("non-finite packet timestamp"));
+                }
                 let tuple = r.tuple()?;
                 let flags = TcpFlags::from_bits_truncate(r.u8()?);
                 let payload = r.bytes()?.to_vec();
@@ -572,6 +578,29 @@ mod tests {
         let (t, mut body) = Request::Stats.encode().unwrap();
         body.push(0);
         assert!(matches!(Request::decode(t, &body), Err(ProtoError::Malformed(_))));
+    }
+
+    #[test]
+    fn non_finite_timestamps_are_malformed() {
+        let packet = |timestamp| {
+            Request::SubmitPacket(Packet {
+                timestamp,
+                tuple: tuple(),
+                flags: TcpFlags::ACK,
+                payload: vec![7; 3],
+            })
+        };
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (ty, body) = packet(t).encode().unwrap();
+            assert!(matches!(Request::decode(ty, &body), Err(ProtoError::Malformed(_))), "{t}");
+        }
+        for t in [0.0, -0.0, 1e12, f64::MIN_POSITIVE, 5e-324, f64::MAX] {
+            let (ty, body) = packet(t).encode().unwrap();
+            let Request::SubmitPacket(back) = Request::decode(ty, &body).unwrap() else {
+                panic!("decoded another request type");
+            };
+            assert_eq!(back.timestamp.to_bits(), t.to_bits(), "{t} round-trips bit-exactly");
+        }
     }
 
     #[test]

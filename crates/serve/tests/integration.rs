@@ -691,7 +691,7 @@ fn tuple_flood_keeps_verdicts_exact_and_routed() {
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
                 let byte = (x >> 56) as u8;
-                if flow % 2 == 0 {
+                if flow.is_multiple_of(2) {
                     byte
                 } else {
                     b' ' + byte % 95
@@ -702,7 +702,7 @@ fn tuple_flood_keeps_verdicts_exact_and_routed() {
     let flood_tuple = |i: u32| {
         let src = Ipv4Addr::new(10, 100 + (i >> 16) as u8, (i >> 8) as u8, i as u8);
         let dst = Ipv4Addr::new(192, 0, 2, 1);
-        if i % 2 == 0 {
+        if i.is_multiple_of(2) {
             FiveTuple::tcp(src, 30_000 + (i % 1000) as u16, dst, 443)
         } else {
             FiveTuple::udp(src, 30_000 + (i % 1000) as u16, dst, 53)
